@@ -68,32 +68,6 @@
 //! }
 //! ```
 //!
-//! # `BENCH_engine.json` (schema version 1)
-//!
-//! ```json
-//! {
-//!   "schema_version": 1,
-//!   "suite": "engine",
-//!   "mode": "smoke" | "full",
-//!   "points": [
-//!     { "family": "star" | "chain", "rows": 1000, "subgoals": 8,
-//!       "row_ms": 4.1, "columnar_ms": 1.3, "speedup": 3.2,
-//!       "answer_rows": 950, "traces_match": true }
-//!   ]
-//! }
-//! ```
-//!
-//! Each engine point runs the same fixed workload query (8 subgoals,
-//! Figure 6 scale) over the same random base database through
-//! [`viewplan_engine::execute_ordered`] twice — once under the row
-//! engine, once under the columnar engine — and records the mean
-//! wall-clock per execution after a warm-up run. `traces_match` is the
-//! differential-oracle bit: the two [`viewplan_engine::ExecutionTrace`]s
-//! (including the answer's row order) must be identical, and
-//! [`validate_engine`] rejects the document if any point disagrees.
-//! Timings vary run to run; `speedup` (`row_ms / columnar_ms`) is
-//! recorded for the EXPERIMENTS.md table, not pinned by validation.
-//!
 //! Latency percentiles come from the `serve.request_latency_us` log₂
 //! histogram (per-pass deltas via
 //! [`viewplan_obs::MetricsSnapshot::delta_since`]), so they inherit the
@@ -107,10 +81,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use viewplan_cq::{Atom, ConjunctiveQuery, Term, ViewSet};
-use viewplan_engine::{Database, Engine, Value};
 use viewplan_obs::{self as obs, Json};
 use viewplan_serve::{BatchServer, LiveCatalog, NetConfig, NetServer, ServeConfig};
-use viewplan_workload::{generate, random_database, WorkloadConfig};
+use viewplan_workload::{generate, WorkloadConfig};
 
 use crate::loadgen::{ddl_churn, run_loadgen, LoadgenConfig, LoadgenReport};
 use crate::{run_sweep, Family, SweepConfig, SweepPoint};
@@ -318,28 +291,29 @@ fn acyclic_point(
     easy_target: &ConjunctiveQuery,
     iters: u32,
 ) -> Json {
+    use viewplan_containment::containment::containment_mapping_complete;
     use viewplan_containment::is_contained_in;
 
-    // `is_contained_in(target, pattern)` maps `pattern` into `target`,
-    // and routing is decided by the *pattern*'s hypergraph.
-    let run = |on: bool| -> ((bool, bool), f64, u64) {
-        let _g = viewplan_cq::install_acyclic(on);
-        let verdicts = (
-            is_contained_in(hard_target, pattern),
-            is_contained_in(easy_target, pattern),
-        );
+    // `is_contained_in(target, pattern)` maps `pattern` into `target`;
+    // the pattern is acyclic, so it takes the semijoin route. The
+    // fallback is the homomorphism DFS called directly.
+    let fast = |target: &ConjunctiveQuery| is_contained_in(target, pattern);
+    let fallback =
+        |target: &ConjunctiveQuery| containment_mapping_complete(pattern, target).0.is_some();
+    let run = |check: &dyn Fn(&ConjunctiveQuery) -> bool| -> ((bool, bool), f64, u64) {
+        let verdicts = (check(hard_target), check(easy_target));
         let before = obs::metrics_snapshot();
         let start = std::time::Instant::now();
         for _ in 0..iters {
-            is_contained_in(hard_target, pattern);
+            check(hard_target);
         }
         let ms = start.elapsed().as_secs_f64() * 1000.0 / f64::from(iters);
         let delta = obs::metrics_snapshot().delta_since(&before);
         let nodes = delta.counter("containment.hom_nodes") / u64::from(iters);
         (verdicts, ms, nodes)
     };
-    let (fast_verdicts, fast_ms, fast_nodes) = run(true);
-    let (slow_verdicts, fallback_ms, fallback_nodes) = run(false);
+    let (fast_verdicts, fast_ms, fast_nodes) = run(&fast);
+    let (slow_verdicts, fallback_ms, fallback_nodes) = run(&fallback);
 
     let checks = 2u64;
     let mut agree = 0u64;
@@ -629,84 +603,6 @@ fn ddl_churn_section(views: &ViewSet, query_srcs: &[String], smoke: bool) -> Jso
     Json::Object(o)
 }
 
-/// Runs the row-vs-columnar comparison and renders `BENCH_engine.json`:
-/// for each workload family and base-table size, the same 8-subgoal
-/// query executes under both engines over the same database, with the
-/// traces compared for byte-identity.
-pub fn engine_trajectory(config: &TrajectoryConfig) -> Json {
-    obs::set_enabled(true);
-    let row_counts: &[usize] = if config.smoke {
-        &[200, 1000]
-    } else {
-        &[1000, 5000]
-    };
-    let iters: u32 = if config.smoke { 3 } else { 5 };
-    let seed = 20010521u64; // same fixed seed as the sweep machinery
-
-    let mut points = Vec::new();
-    for (family, wconfig) in [
-        ("star", WorkloadConfig::star(1, 0, seed)),
-        ("chain", WorkloadConfig::chain(1, 0, seed)),
-    ] {
-        let subgoals = wconfig.query_subgoals;
-        let query = generate(&wconfig).query;
-        for &rows in row_counts {
-            let mut db = Database::new();
-            for (name, tuples) in random_database(&query, rows, rows as i64, seed ^ rows as u64) {
-                for tuple in tuples {
-                    db.insert(name, tuple.into_iter().map(Value::Int).collect());
-                }
-            }
-            let measure = |engine: Engine| {
-                let _guard = viewplan_engine::install(engine);
-                // Warm-up: populates the columnar cache (and the CPU's)
-                // so the timed runs measure steady-state execution.
-                let trace = viewplan_engine::execute_ordered(&query.head, &query.body, &db);
-                let start = std::time::Instant::now();
-                for _ in 0..iters {
-                    viewplan_engine::execute_ordered(&query.head, &query.body, &db);
-                }
-                let ms = start.elapsed().as_secs_f64() * 1000.0 / f64::from(iters);
-                (ms, trace)
-            };
-            let (row_ms, row_trace) = measure(Engine::Row);
-            let (columnar_ms, columnar_trace) = measure(Engine::Columnar);
-            let traces_match = row_trace == columnar_trace
-                && row_trace.answer.as_slice() == columnar_trace.answer.as_slice();
-            let mut o = BTreeMap::new();
-            o.insert("family".into(), Json::str(family));
-            o.insert("rows".into(), Json::num(rows as u64));
-            o.insert("subgoals".into(), Json::num(subgoals as u64));
-            o.insert("row_ms".into(), Json::Number(row_ms));
-            o.insert("columnar_ms".into(), Json::Number(columnar_ms));
-            o.insert(
-                "speedup".into(),
-                Json::Number(if columnar_ms > 0.0 {
-                    row_ms / columnar_ms
-                } else {
-                    0.0
-                }),
-            );
-            o.insert(
-                "answer_rows".into(),
-                Json::num(columnar_trace.answer.len() as u64),
-            );
-            o.insert("traces_match".into(), Json::Bool(traces_match));
-            points.push(Json::Object(o));
-        }
-    }
-
-    let mut doc = BTreeMap::new();
-    doc.insert("schema_version".into(), Json::num(BENCH_SCHEMA_VERSION));
-    doc.insert("suite".into(), Json::str("engine"));
-    doc.insert(
-        "mode".into(),
-        Json::str(if config.smoke { "smoke" } else { "full" }),
-    );
-    doc.insert("points".into(), Json::Array(points));
-    Json::Object(doc)
-}
-
 // ---------------------------------------------------------------------
 // Schema validation (what the CI bench-smoke job runs against both the
 // freshly emitted documents and the checked-in trajectory files).
@@ -966,52 +862,6 @@ fn validate_load_block(block: &Json, label: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a `BENCH_engine.json` document against schema version 1,
-/// including the differential-oracle invariant: every point's row and
-/// columnar traces must have matched (`traces_match: true`).
-pub fn validate_engine(doc: &Json) -> Result<(), String> {
-    check_header(doc, "engine")?;
-    let points = doc
-        .get("points")
-        .and_then(Json::as_array)
-        .ok_or("missing \"points\" array")?;
-    if points.is_empty() {
-        return Err("\"points\" is empty".into());
-    }
-    for p in points {
-        let family = expect_str(p, "family")?;
-        if !matches!(family, "star" | "chain") {
-            return Err(format!("unknown engine family {family:?}"));
-        }
-        let rows = expect_u64(p, "rows")?;
-        if rows == 0 {
-            return Err(format!("family {family:?} has a zero-row point"));
-        }
-        expect_u64(p, "subgoals")?;
-        expect_u64(p, "answer_rows")?;
-        for key in ["row_ms", "columnar_ms"] {
-            let v = expect_f64(p, key)?;
-            if v < 0.0 {
-                return Err(format!("negative {key} in a {family:?} point"));
-            }
-        }
-        let speedup = expect_f64(p, "speedup")?;
-        if speedup <= 0.0 {
-            return Err(format!("non-positive speedup in a {family:?} point"));
-        }
-        match p.get("traces_match") {
-            Some(Json::Bool(true)) => {}
-            Some(Json::Bool(false)) => {
-                return Err(format!(
-                    "family {family:?} at {rows} rows: row and columnar traces diverged"
-                ));
-            }
-            _ => return Err("missing or non-boolean field \"traces_match\"".into()),
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1073,46 +923,19 @@ mod tests {
         // The constructions underlying the acyclic section: a k-walk
         // pattern cannot map into a depth-k diamond (hard false), but
         // can into a (k+1)-walk of its own family (easy true) — and
-        // both routes must say so. The memo cache is cleared between
-        // routes (not disabled — the enable switch is process-global
-        // and other tests in this binary time uncached runs) so the
-        // second route really recomputes its verdict.
+        // both routes must say so: `is_contained_in` (the semijoin
+        // route, for these acyclic patterns) and the homomorphism DFS
+        // called directly.
+        use viewplan_containment::containment::containment_mapping_complete;
         for (pattern, hard, easy) in [
             (chain_pattern(6), diamond_target(6), chain_pattern(7)),
             (spider_pattern(5), spider_target(5), spider_pattern(6)),
         ] {
-            for on in [true, false] {
-                let _g = viewplan_cq::install_acyclic(on);
-                viewplan_containment::clear_containment_cache();
-                assert!(
-                    !viewplan_containment::is_contained_in(&hard, &pattern),
-                    "hard instance unexpectedly mapped (acyclic={on})"
-                );
-                assert!(
-                    viewplan_containment::is_contained_in(&easy, &pattern),
-                    "easy instance failed to map (acyclic={on})"
-                );
-            }
+            assert!(!viewplan_containment::is_contained_in(&hard, &pattern));
+            assert!(viewplan_containment::is_contained_in(&easy, &pattern));
+            assert!(containment_mapping_complete(&pattern, &hard).0.is_none());
+            assert!(containment_mapping_complete(&pattern, &easy).0.is_some());
         }
-    }
-
-    #[test]
-    fn engine_trajectory_validates_and_traces_match() {
-        let doc = engine_trajectory(&smoke());
-        validate_engine(&doc).unwrap();
-        let rendered = doc.render();
-        let parsed = obs::parse_json(&rendered).unwrap();
-        validate_engine(&parsed).unwrap();
-        // Flip one oracle bit: validation must reject the document.
-        let mut broken = doc;
-        if let Json::Object(map) = &mut broken {
-            if let Some(Json::Array(points)) = map.get_mut("points") {
-                if let Some(Json::Object(p)) = points.first_mut() {
-                    p.insert("traces_match".into(), Json::Bool(false));
-                }
-            }
-        }
-        assert!(validate_engine(&broken).unwrap_err().contains("diverged"));
     }
 
     #[test]

@@ -266,7 +266,7 @@ pub(crate) fn cached_verdict_complete(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::containment::{containment_mapping, is_contained_in};
+    use crate::containment::{containment_mapping, containment_mapping_complete, is_contained_in};
     use viewplan_cq::parse_query;
 
     #[test]
@@ -398,19 +398,22 @@ mod tests {
         set_cache_enabled(true);
         let q1 = parse_query(&chain("X", 8)).unwrap();
         let q2 = parse_query(&chain("Y", 6)).unwrap();
-        // Chains are acyclic, so the semijoin fast path would decide
-        // them completely regardless of budget — force the DFS here to
-        // exercise the truncation path this test is about.
-        let _acyclic_off = viewplan_cq::install_acyclic(false);
-        // Under a 1-node hom budget the check truncates: conservative
-        // `false`, and nothing may be written to the cache.
+        // Chains are acyclic, so `is_contained_in` would decide them on
+        // the semijoin route regardless of budget — run the homomorphism
+        // DFS through the cache directly to exercise the truncation path
+        // this test is about. Under a 1-node hom budget the check
+        // truncates: conservative `false`, and nothing may be written to
+        // the cache.
         let truncated = {
             let _b = obs::budget::install(
                 obs::budget::BudgetSpec::new()
                     .phase_nodes(obs::Phase::Hom, 1)
                     .build(),
             );
-            is_contained_in(&q1, &q2)
+            cached_verdict_complete(&q1, &q2, || {
+                let (mapping, complete) = containment_mapping_complete(&q2, &q1);
+                (mapping.is_some(), complete)
+            })
         };
         assert!(!truncated, "truncated check must under-approximate");
         assert_eq!(containment_cache_len(), 0, "truncated verdict was cached");
@@ -429,7 +432,6 @@ mod tests {
         // Truncation is impossible on the semijoin route: even a 1-node
         // hom budget leaves the verdict complete — correct, and written
         // to the cache (unlike the truncated DFS above).
-        let _acyclic_on = viewplan_cq::install_acyclic(true);
         let _b = obs::budget::install(
             obs::budget::BudgetSpec::new()
                 .phase_nodes(obs::Phase::Hom, 1)

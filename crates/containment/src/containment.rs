@@ -1,7 +1,7 @@
 //! Query containment and equivalence (Definition 2.1).
 
 use crate::homomorphism::HomomorphismSearch;
-use viewplan_cq::{acyclic_enabled, ConjunctiveQuery, Substitution, Term};
+use viewplan_cq::{ConjunctiveQuery, Substitution, Term};
 use viewplan_obs as obs;
 
 // Single registration site for `containment.checks` (the xtask lint):
@@ -67,21 +67,17 @@ pub fn containment_mapping_complete(
 
 /// The boolean verdict for `onto ⊑ from`, with completeness. Routes
 /// acyclic patterns (after head pinning) through the polynomial
-/// semijoin decision of [`crate::acyclic`] when the `VIEWPLAN_ACYCLIC`
-/// switch is on; the fast path never consumes budget, so its verdicts
-/// are always complete. Cyclic patterns (and disabled switch) take the
-/// homomorphism DFS.
+/// semijoin decision of [`crate::acyclic`]; the fast path never
+/// consumes budget, so its verdicts are always complete. Cyclic patterns
+/// take the homomorphism DFS.
 fn contains_complete(from: &ConjunctiveQuery, onto: &ConjunctiveQuery) -> (bool, bool) {
     note_check();
     let Some(initial) = head_bindings(from, onto) else {
         return (false, true);
     };
-    if acyclic_enabled() {
-        if let Some(verdict) =
-            crate::acyclic::semijoin_mapping_exists(&from.body, &onto.body, &initial)
-        {
-            return (verdict, true);
-        }
+    if let Some(verdict) = crate::acyclic::semijoin_mapping_exists(&from.body, &onto.body, &initial)
+    {
+        return (verdict, true);
     }
     let (mapping, complete) =
         HomomorphismSearch::with_initial(&from.body, &onto.body, initial).find_complete();

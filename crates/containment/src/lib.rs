@@ -19,8 +19,11 @@
 //!   variable renamings", §3.3).
 //! * **Acyclic fast path** — a containment check whose pattern is
 //!   acyclic after head pinning is decided by polynomial semijoins over
-//!   its GYO join forest ([`acyclic`]) instead of the exponential DFS,
-//!   gated by the `VIEWPLAN_ACYCLIC` switch.
+//!   its GYO join forest ([`acyclic`]) instead of the exponential DFS;
+//!   cyclic patterns fall back to the DFS. The route is a pure function
+//!   of the query pair, and [`containment::containment_mapping_complete`]
+//!   is the homomorphism-only reference the differential tests compare
+//!   against.
 //! * **Memoization** — a process-global, lock-sharded cache of containment
 //!   verdicts keyed on canonicalized query pairs ([`cache`]), shared by
 //!   containment, minimization, view-class grouping, and the M3 dropping

@@ -29,6 +29,12 @@
 //! it fires. Node caps are per-search, so budgeted results keep the
 //! byte-identical-to-serial guarantee; only wall-clock deadlines are
 //! nondeterministic.
+//!
+//! Those three — span path, trace, budget — are the only thread-local
+//! state carried. Nothing else a worker runs is configured ambiently:
+//! there is one executor, and the containment route (semijoins for
+//! acyclic patterns, the homomorphism DFS otherwise) is a pure function
+//! of the query pair, so a worker computes exactly what the caller would.
 
 use viewplan_obs as obs;
 use viewplan_sync::{thread, AtomicUsize, Mutex, Ordering};

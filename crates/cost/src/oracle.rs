@@ -9,8 +9,8 @@
 
 use crate::catalog::Catalog;
 use std::collections::{BTreeSet, HashMap};
-use viewplan_cq::{is_acyclic, Atom, ConjunctiveQuery, Symbol, Term};
-use viewplan_engine::{current_engine, evaluate, Database, Engine};
+use viewplan_cq::{Atom, ConjunctiveQuery, Symbol, Term};
+use viewplan_engine::{evaluate, Database};
 use viewplan_obs as obs;
 
 // Single registration site per counter name (the xtask lint enforces
@@ -199,28 +199,11 @@ impl SizeOracle for EstimateOracle<'_> {
                 all_retained = false;
             }
         }
-        let predicted = if all_retained {
+        if all_retained {
             e.rows
         } else {
             e.rows.min(cap)
-        };
-        // Width-aware bound: under the Yannakakis engine an acyclic
-        // subset is semijoin-reduced before joining, so no intermediate
-        // can exceed what the reduced inputs support — linear in the
-        // total input, never the independence-assumption product. The
-        // M2/M3 searches inherit the tighter bound through this one
-        // method; other engines keep the classical estimate.
-        if current_engine() == Engine::Yannakakis {
-            let atoms: Vec<Atom> = (0..body.len())
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| body[i].clone())
-                .collect();
-            if atoms.len() > 1 && is_acyclic(&atoms) {
-                let input: f64 = atoms.iter().map(|a| self.atom_estimate(a).rows).sum();
-                return predicted.min(input);
-            }
         }
-        predicted
     }
 }
 
@@ -304,36 +287,5 @@ mod tests {
         let b = body("q(X) :- r(X, X)");
         let mut o = EstimateOracle::new(&cat);
         assert_eq!(o.intermediate_size(&b, 0b1, &all_vars(&b)), 10.0);
-    }
-
-    #[test]
-    fn yannakakis_engine_caps_acyclic_intermediates_linearly() {
-        let mut cat = Catalog::new();
-        cat.set("r", RelationStats::uniform(2, 100.0, 10.0));
-        cat.set("s", RelationStats::uniform(2, 50.0, 10.0));
-        let b = body("q(X, Z) :- r(X, Y), s(Y, Z)");
-        let mut o = EstimateOracle::new(&cat);
-        let full = all_vars(&b);
-        // Classical estimate (see `estimate_oracle_join_formula`): 500.
-        // Under Yannakakis the acyclic chain is semijoin-reduced first,
-        // so the intermediate is bounded by the input: 100 + 50.
-        let _g = viewplan_engine::install(Engine::Yannakakis);
-        assert_eq!(o.intermediate_size(&b, 0b11, &full), 150.0);
-    }
-
-    #[test]
-    fn yannakakis_engine_keeps_cyclic_estimates() {
-        let mut cat = Catalog::new();
-        for p in ["r", "s", "t"] {
-            cat.set(p, RelationStats::uniform(2, 100.0, 10.0));
-        }
-        let b = body("q(A) :- r(A, B), s(B, C), t(C, A)");
-        let mut o = EstimateOracle::new(&cat);
-        let full = all_vars(&b);
-        let ambient = o.intermediate_size(&b, 0b111, &full);
-        let mut o2 = EstimateOracle::new(&cat);
-        let _g = viewplan_engine::install(Engine::Yannakakis);
-        // The triangle is cyclic: no reduction, no cap.
-        assert_eq!(o2.intermediate_size(&b, 0b111, &full), ambient);
     }
 }

@@ -1,19 +1,17 @@
 //! The columnar batch executor.
 //!
-//! Implements the same bindings-table pipeline as the row executor in
-//! [`crate::eval`], but batch-at-a-time over struct-of-arrays data
-//! ([`crate::ColumnarRelation`]): a selection vector filters the stored
-//! relation column-by-column, a hash index specialized by key shape is
-//! built over the surviving rows, and probing gathers output *columns*
-//! in tight per-column loops the compiler can auto-vectorize. Output row
-//! order is probe order × build insertion order — exactly the row
-//! engine's order — so traces, answers, and counters are byte-identical
-//! (the differential suite at the workspace root enforces this).
+//! Runs the bindings-table pipeline of [`crate::eval`] batch-at-a-time
+//! over struct-of-arrays data ([`crate::ColumnarRelation`]): a selection
+//! vector filters the stored relation column-by-column, a hash index
+//! specialized by key shape is built over the surviving rows, and probing
+//! gathers output *columns* in tight per-column loops the compiler can
+//! auto-vectorize. Output row order is probe order × build insertion
+//! order, so answers and traces are deterministic.
 
 use crate::columnar::{Column, ColumnarRelation};
 use crate::database::Database;
 use crate::error::EngineError;
-use crate::eval::{head_columns, note_arity_mismatch, note_join, plan_slots, Slot, Table};
+use crate::eval::{head_columns, note_arity_mismatch, note_join, plan_slots, Slot};
 use crate::relation::{Relation, Tuple};
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
@@ -150,10 +148,9 @@ impl ColumnarBindings {
         }
         pairs
     }
-}
 
-impl Table for ColumnarBindings {
-    fn unit() -> ColumnarBindings {
+    /// The unit table: empty schema, one empty row.
+    pub(crate) fn unit() -> ColumnarBindings {
         ColumnarBindings {
             vars: Vec::new(),
             len: 1,
@@ -161,23 +158,27 @@ impl Table for ColumnarBindings {
         }
     }
 
-    fn row_count(&self) -> usize {
+    /// Number of rows currently in the table.
+    pub(crate) fn row_count(&self) -> usize {
         self.len
     }
 
-    fn join(self, atom: &Atom, db: &Database) -> ColumnarBindings {
+    /// Hash-joins the table with one subgoal. A missing relation is
+    /// treated as empty (closed world).
+    pub(crate) fn join(self, atom: &Atom, db: &Database) -> ColumnarBindings {
         let empty = Relation::new(atom.arity());
         let rel = db.get(atom.predicate).unwrap_or(&empty);
         let slots = plan_slots(atom, &self.vars);
 
-        // Same relation-level skip as the row engine: a stored arity that
-        // differs from the atom's matches nothing. Also guards the column
-        // accesses below, which index by atom position.
+        // An atom whose arity differs from the stored relation matches
+        // nothing (no fact can map onto it); relations have uniform arity,
+        // so the whole relation is skipped — and counted, loudly. Also
+        // guards the column accesses below, which index by atom position.
         let mismatched = rel.arity() != atom.arity();
         note_arity_mismatch(if mismatched { rel.len() } else { 0 });
 
         // Bound positions pair the atom-side key position with the
-        // bindings-side column, in slot order (the row engine's key order).
+        // bindings-side column, in slot order.
         let bound: Vec<(usize, usize)> = slots
             .iter()
             .enumerate()
@@ -254,7 +255,9 @@ impl Table for ColumnarBindings {
         }
     }
 
-    fn project_away(self, drop: &HashSet<Symbol>) -> ColumnarBindings {
+    /// Removes the given variables from the schema and deduplicates rows
+    /// (keep-first).
+    pub(crate) fn project_away(self, drop: &HashSet<Symbol>) -> ColumnarBindings {
         let keep: Vec<usize> = (0..self.vars.len())
             .filter(|&i| !drop.contains(&self.vars[i]))
             .collect();
@@ -285,8 +288,11 @@ impl Table for ColumnarBindings {
         }
     }
 
-    fn project_head(&self, head: &Atom) -> Result<Relation, EngineError> {
+    /// Projects the table onto the head atom, in row order.
+    pub(crate) fn project_head(&self, head: &Atom) -> Result<Relation, EngineError> {
         if self.len == 0 {
+            // An empty join may have stopped before every head variable
+            // entered the schema; the projection is empty regardless.
             return Ok(Relation::new(head.arity()));
         }
         let cols = head_columns(head, &self.vars)?;

@@ -8,17 +8,16 @@
 //! [`execute_annotated`] plans, where dropping attributes (cost model M3)
 //! can merge rows and the table is re-deduplicated.
 //!
-//! Two executors implement this pipeline: the row-at-a-time [`Bindings`]
-//! table in this module, and the columnar batch executor in
-//! [`crate::batch`]. Both run the *same* driver loops below, so join
-//! order, counter updates, trace sizes, and answer insertion order are
-//! identical by construction; [`crate::engine::current_engine`] picks
-//! which one runs.
+//! The bindings table is the columnar batch executor's
+//! `ColumnarBindings`; this module holds the loops that fold a
+//! body through it. The nested-loop reference in the crate's
+//! `tests/reference/` is the differential oracle for both the answers
+//! and the [`ExecutionTrace`] sizes.
 
+use crate::batch::ColumnarBindings;
 use crate::database::Database;
-use crate::engine::{current_engine, Engine};
 use crate::error::EngineError;
-use crate::relation::{Relation, Tuple};
+use crate::relation::Relation;
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 use viewplan_cq::{Atom, ConjunctiveQuery, Symbol, Term};
@@ -30,8 +29,8 @@ pub(crate) fn engine_panic(e: EngineError) -> ! {
     panic!("{e}")
 }
 
-/// Counter funnel for one hash-join step, shared by both executors so the
-/// metric names register at a single site.
+/// Counter funnel for one hash-join step, so the metric names register at
+/// a single site.
 pub(crate) fn note_join(probe_rows: usize, out_rows: usize) {
     obs::counter!("engine.joins").incr();
     obs::counter!("engine.join_probes").add(probe_rows as u64);
@@ -49,13 +48,6 @@ pub(crate) fn note_arity_mismatch(skipped: usize) {
 /// step.
 pub(crate) fn note_gsr(rows: usize) {
     obs::histogram!("engine.gsr_rows").record(rows as u64);
-}
-
-/// The bindings table carried through a multiway join (row executor).
-#[derive(Clone, Debug)]
-struct Bindings {
-    vars: Vec<Symbol>,
-    rows: Vec<Tuple>,
 }
 
 /// How each argument position of the current subgoal relates to the
@@ -112,156 +104,20 @@ pub(crate) fn head_columns(
         .collect()
 }
 
-/// One executor's bindings table: the interface the shared evaluation and
-/// plan-execution drivers run against. Implementations must produce rows
-/// in the same order (probe order × build insertion order) so traces and
-/// answers are engine-independent.
-pub(crate) trait Table: Sized {
-    /// The unit table: empty schema, one empty row.
-    fn unit() -> Self;
-    /// Number of rows currently in the table.
-    fn row_count(&self) -> usize;
-    /// Hash-joins the table with one subgoal. A missing relation is
-    /// treated as empty (closed world).
-    fn join(self, atom: &Atom, db: &Database) -> Self;
-    /// Removes the given variables from the schema and deduplicates rows
-    /// (keep-first).
-    fn project_away(self, drop: &HashSet<Symbol>) -> Self;
-    /// Projects the table onto the head atom, in row order.
-    fn project_head(&self, head: &Atom) -> Result<Relation, EngineError>;
-}
-
-impl Table for Bindings {
-    fn unit() -> Bindings {
-        Bindings {
-            vars: Vec::new(),
-            rows: vec![Vec::new()],
-        }
-    }
-
-    fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn join(self, atom: &Atom, db: &Database) -> Bindings {
-        let empty = Relation::new(atom.arity());
-        let rel = db.get(atom.predicate).unwrap_or(&empty);
-        let slots = plan_slots(atom, &self.vars);
-
-        // An atom whose arity differs from the stored relation matches
-        // nothing (no fact can map onto it); relations have uniform arity,
-        // so the whole relation is skipped — and counted, loudly.
-        let mismatched = rel.arity() != atom.arity();
-        note_arity_mismatch(if mismatched { rel.len() } else { 0 });
-
-        // Filter the relation on constants and intra-atom repeats, and
-        // index it by the values at bound positions.
-        let bound_positions: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| matches!(s, Slot::Bound(_)).then_some(i))
-            .collect();
-        let mut index: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
-        if !mismatched {
-            'tuples: for tuple in rel {
-                for (i, slot) in slots.iter().enumerate() {
-                    match slot {
-                        Slot::Fixed(v) if tuple[i] != *v => continue 'tuples,
-                        Slot::SameAs(j) if tuple[i] != tuple[*j] => continue 'tuples,
-                        _ => {}
-                    }
-                }
-                let key: Vec<Value> = bound_positions.iter().map(|&i| tuple[i]).collect();
-                index.entry(key).or_default().push(tuple);
-            }
-        }
-
-        // Extend the schema with the new variables in argument order.
-        let mut vars = self.vars.clone();
-        let mut new_positions = Vec::new();
-        for (i, slot) in slots.iter().enumerate() {
-            if let Slot::New(v) = slot {
-                vars.push(*v);
-                new_positions.push(i);
-            }
-        }
-
-        let bound_cols: Vec<usize> = slots
-            .iter()
-            .filter_map(|s| match s {
-                Slot::Bound(c) => Some(*c),
-                _ => None,
-            })
-            .collect();
-
-        let mut rows = Vec::new();
-        let mut key = Vec::with_capacity(bound_cols.len());
-        for row in &self.rows {
-            key.clear();
-            key.extend(bound_cols.iter().map(|&c| row[c]));
-            if let Some(matches) = index.get(&key) {
-                for tuple in matches {
-                    let mut extended = row.clone();
-                    extended.extend(new_positions.iter().map(|&i| tuple[i]));
-                    rows.push(extended);
-                }
-            }
-        }
-        note_join(self.rows.len(), rows.len());
-        Bindings { vars, rows }
-    }
-
-    fn project_away(self, drop: &HashSet<Symbol>) -> Bindings {
-        let keep: Vec<usize> = (0..self.vars.len())
-            .filter(|&i| !drop.contains(&self.vars[i]))
-            .collect();
-        let vars: Vec<Symbol> = keep.iter().map(|&i| self.vars[i]).collect();
-        let mut seen = HashSet::new();
-        let mut rows = Vec::new();
-        for row in self.rows {
-            let projected: Tuple = keep.iter().map(|&i| row[i]).collect();
-            if seen.insert(projected.clone()) {
-                rows.push(projected);
-            }
-        }
-        Bindings { vars, rows }
-    }
-
-    fn project_head(&self, head: &Atom) -> Result<Relation, EngineError> {
-        if self.rows.is_empty() {
-            // An empty join may have stopped before every head variable
-            // entered the schema; the projection is empty regardless.
-            return Ok(Relation::new(head.arity()));
-        }
-        let cols = head_columns(head, &self.vars)?;
-        let mut out = Relation::new(head.arity());
-        for row in &self.rows {
-            out.insert(
-                cols.iter()
-                    .map(|c| match c {
-                        Ok(i) => row[*i],
-                        Err(v) => *v,
-                    })
-                    .collect(),
-            );
-        }
-        Ok(out)
-    }
-}
-
 /// Evaluates a conjunctive query over a database, returning the distinct
 /// answer relation. Subgoals are joined in a greedy order (smallest
 /// relation first, then most-connected) purely as an internal heuristic —
 /// the answer is order-independent.
 pub fn try_evaluate(q: &ConjunctiveQuery, db: &Database) -> Result<Relation, EngineError> {
     obs::counter!("engine.evaluations").incr();
-    match current_engine() {
-        Engine::Row => evaluate_with::<Bindings>(q, db),
-        Engine::Columnar => evaluate_with::<crate::batch::ColumnarBindings>(q, db),
-        Engine::Yannakakis => {
-            crate::yannakakis::evaluate_reduced::<crate::batch::ColumnarBindings>(q, db)
+    let mut table = ColumnarBindings::unit();
+    for idx in greedy_order(&q.body, db) {
+        table = table.join(&q.body[idx], db);
+        if table.row_count() == 0 {
+            break;
         }
     }
+    table.project_head(&q.head)
 }
 
 /// Infallible twin of [`try_evaluate`] for pre-validated queries.
@@ -276,40 +132,11 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Relation {
     }
 }
 
-pub(crate) fn evaluate_with<T: Table>(
-    q: &ConjunctiveQuery,
-    db: &Database,
-) -> Result<Relation, EngineError> {
-    let order = greedy_order(&q.body, db);
-    evaluate_in_order_with::<T>(&q.head, &q.body, &order, db)
-}
-
-/// The core join loop: fold the subgoals in exactly `order`, early-exit on
-/// an empty table, project the head. Shared by the greedy-order path above
-/// and the Yannakakis executor (which joins semijoin-reduced relations in
-/// the order the *original* relations dictate, keeping answers
-/// byte-identical across engines).
-pub(crate) fn evaluate_in_order_with<T: Table>(
-    head: &Atom,
-    body: &[Atom],
-    order: &[usize],
-    db: &Database,
-) -> Result<Relation, EngineError> {
-    let mut table = T::unit();
-    for &idx in order {
-        table = table.join(&body[idx], db);
-        if table.row_count() == 0 {
-            break;
-        }
-    }
-    table.project_head(head)
-}
-
 /// Greedy join order: start from the smallest relation; repeatedly take the
 /// subgoal sharing a variable with the bound set (smallest relation on
 /// ties), falling back to the smallest unconnected subgoal (Cartesian
 /// product) when the query is disconnected.
-pub(crate) fn greedy_order(body: &[Atom], db: &Database) -> Vec<usize> {
+fn greedy_order(body: &[Atom], db: &Database) -> Vec<usize> {
     let size = |a: &Atom| db.get(a.predicate).map_or(0, Relation::len);
     let mut remaining: Vec<usize> = (0..body.len()).collect();
     let mut order = Vec::with_capacity(body.len());
@@ -412,36 +239,7 @@ pub fn try_execute_annotated(
     db: &Database,
 ) -> Result<ExecutionTrace, EngineError> {
     let _span = obs::span("engine.execute_plan");
-    match current_engine() {
-        Engine::Row => execute_annotated_with::<Bindings>(head, steps, db),
-        // Annotated plans encode their own join order and attribute drops
-        // (the cost models' ground truth), so Yannakakis — whose whole
-        // point is choosing the semijoin schedule itself — delegates to
-        // the columnar driver: traces stay byte-identical by construction.
-        Engine::Columnar | Engine::Yannakakis => {
-            execute_annotated_with::<crate::batch::ColumnarBindings>(head, steps, db)
-        }
-    }
-}
-
-/// Infallible twin of [`try_execute_annotated`] for pre-validated plans.
-///
-/// # Panics
-/// Panics if a head variable is dropped before the end, or never bound —
-/// such a plan cannot compute the query answer and is a planner bug.
-pub fn execute_annotated(head: &Atom, steps: &[AnnotatedStep], db: &Database) -> ExecutionTrace {
-    match try_execute_annotated(head, steps, db) {
-        Ok(trace) => trace,
-        Err(e) => engine_panic(e),
-    }
-}
-
-fn execute_annotated_with<T: Table>(
-    head: &Atom,
-    steps: &[AnnotatedStep],
-    db: &Database,
-) -> Result<ExecutionTrace, EngineError> {
-    let mut table = T::unit();
+    let mut table = ColumnarBindings::unit();
     let mut subgoal_sizes = Vec::with_capacity(steps.len());
     let mut intermediate_sizes = Vec::with_capacity(steps.len());
     for step in steps {
@@ -469,10 +267,21 @@ fn execute_annotated_with<T: Table>(
     })
 }
 
+/// Infallible twin of [`try_execute_annotated`] for pre-validated plans.
+///
+/// # Panics
+/// Panics if a head variable is dropped before the end, or never bound —
+/// such a plan cannot compute the query answer and is a planner bug.
+pub fn execute_annotated(head: &Atom, steps: &[AnnotatedStep], db: &Database) -> ExecutionTrace {
+    match try_execute_annotated(head, steps, db) {
+        Ok(trace) => trace,
+        Err(e) => engine_panic(e),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::install;
     use viewplan_cq::parse_query;
 
     fn figure5_db() -> Database {
@@ -484,27 +293,13 @@ mod tests {
         db
     }
 
-    /// Runs `f` under both engines and asserts equal results.
-    fn both_engines<R: PartialEq + std::fmt::Debug>(f: impl Fn() -> R) -> R {
-        let row = {
-            let _g = install(Engine::Row);
-            f()
-        };
-        let col = {
-            let _g = install(Engine::Columnar);
-            f()
-        };
-        assert_eq!(row, col, "row and columnar engines disagree");
-        col
-    }
-
     #[test]
     fn evaluates_single_subgoal_with_selection() {
         let db = figure5_db();
         let q = parse_query("q(X) :- r(X, X)").unwrap();
-        assert_eq!(both_engines(|| evaluate(&q, &db)).len(), 5);
+        assert_eq!(evaluate(&q, &db).len(), 5);
         let q2 = parse_query("q(Y) :- t(1, Y)").unwrap();
-        let ans = both_engines(|| evaluate(&q2, &db));
+        let ans = evaluate(&q2, &db);
         assert_eq!(ans.as_slice(), [vec![Value::Int(2)]]);
     }
 
@@ -513,7 +308,7 @@ mod tests {
         let db = figure5_db();
         // t(A,B), s(B,B): pairs where t's target is an s self-loop.
         let q = parse_query("q(A, B) :- t(A, B), s(B, B)").unwrap();
-        let ans = both_engines(|| evaluate(&q, &db));
+        let ans = evaluate(&q, &db);
         assert_eq!(ans.len(), 4);
         assert!(ans.contains(&[Value::Int(1), Value::Int(2)]));
     }
@@ -523,7 +318,7 @@ mod tests {
         // Q: q(A) :- r(A,A), t(A,B), s(B,B) over Figure 5 gives A ∈ {1}.
         let db = figure5_db();
         let q = parse_query("q(A) :- r(A, A), t(A, B), s(B, B)").unwrap();
-        let ans = both_engines(|| evaluate(&q, &db));
+        let ans = evaluate(&q, &db);
         assert_eq!(ans.as_slice(), [vec![Value::Int(1)]]);
     }
 
@@ -531,21 +326,21 @@ mod tests {
     fn missing_relation_gives_empty_answer() {
         let db = figure5_db();
         let q = parse_query("q(X) :- nope(X, X)").unwrap();
-        assert!(both_engines(|| evaluate(&q, &db)).is_empty());
+        assert!(evaluate(&q, &db).is_empty());
     }
 
     #[test]
     fn cartesian_product_when_disconnected() {
         let db = figure5_db();
         let q = parse_query("q(A, B) :- r(A, A), s(B, B)").unwrap();
-        assert_eq!(both_engines(|| evaluate(&q, &db)).len(), 20);
+        assert_eq!(evaluate(&q, &db).len(), 20);
     }
 
     #[test]
     fn constants_in_head_are_emitted() {
         let db = figure5_db();
         let q = parse_query("q(7, X) :- r(X, X)").unwrap();
-        let ans = both_engines(|| evaluate(&q, &db));
+        let ans = evaluate(&q, &db);
         assert!(ans.iter().all(|t| t[0] == Value::Int(7)));
     }
 
@@ -555,9 +350,9 @@ mod tests {
         // Project t onto its first column twice over: still 4 tuples, but
         // project to a single column with collisions across B.
         let q = parse_query("q(B) :- t(A, B)").unwrap();
-        assert_eq!(both_engines(|| evaluate(&q, &db)).len(), 4);
+        assert_eq!(evaluate(&q, &db).len(), 4);
         let q2 = parse_query("q() :- t(A, B)").unwrap();
-        assert_eq!(both_engines(|| evaluate(&q2, &db)).len(), 1);
+        assert_eq!(evaluate(&q2, &db).len(), 1);
     }
 
     #[test]
@@ -566,7 +361,7 @@ mod tests {
         db.insert_sym("car", &[&["honda", "anderson"], &["bmw", "smith"]]);
         db.insert_sym("loc", &[&["anderson", "palo_alto"], &["smith", "mp"]]);
         let q = parse_query("q(M, C) :- car(M, P), loc(P, C)").unwrap();
-        let ans = both_engines(|| evaluate(&q, &db));
+        let ans = evaluate(&q, &db);
         assert_eq!(ans.len(), 2);
         assert!(ans.contains(&[Value::sym("honda"), Value::sym("palo_alto")]));
     }
@@ -575,7 +370,7 @@ mod tests {
     fn execute_ordered_reports_intermediate_sizes() {
         let db = figure5_db();
         let q = parse_query("q(A) :- r(A, A), t(A, B), s(B, B)").unwrap();
-        let trace = both_engines(|| execute_ordered(&q.head, &q.body, &db));
+        let trace = execute_ordered(&q.head, &q.body, &db);
         assert_eq!(trace.subgoal_sizes, [5, 4, 4]);
         // IR1 = r self-loops: 5; IR2 = r ⋈ t on A: {1}×{(1,2)} → (1,2); also
         // (2,?) t(2,..)? t has no first-col 2 → just (1,2). Wait: r pairs are
@@ -605,7 +400,7 @@ mod tests {
                 drop_after: [Symbol::new("C")].into_iter().collect(),
             },
         ];
-        let trace = both_engines(|| execute_annotated(&q.head, &steps, &db));
+        let trace = execute_annotated(&q.head, &steps, &db);
         // GSR1 = {1} (B dropped) — the paper's point: one tuple, not four.
         assert_eq!(trace.intermediate_sizes[0], 1);
         assert_eq!(trace.answer.as_slice(), [vec![Value::Int(1)]]);
@@ -620,7 +415,7 @@ mod tests {
             atom: q.body[0].clone(),
             drop_after: [Symbol::new("A")].into_iter().collect(),
         }];
-        let err = both_engines(|| try_execute_annotated(&q.head, &steps, &db));
+        let err = try_execute_annotated(&q.head, &steps, &db);
         assert_eq!(
             err,
             Err(EngineError::HeadVariableDropped {
@@ -656,7 +451,7 @@ mod tests {
         // X never occurs in the body: unsafe. The body is satisfiable, so
         // the error fires (with an empty body relation it would not).
         let q = unsafe_query("r(A, A)");
-        let err = both_engines(|| try_evaluate(&q, &db));
+        let err = try_evaluate(&q, &db);
         assert_eq!(
             err,
             Err(EngineError::UnboundHeadVariable {
@@ -671,7 +466,7 @@ mod tests {
         // is empty regardless, so no error.
         let db = Database::new();
         let q = unsafe_query("nope(A, A)");
-        let ans = both_engines(|| try_evaluate(&q, &db));
+        let ans = try_evaluate(&q, &db);
         assert_eq!(ans, Ok(Relation::new(1)));
     }
 
@@ -683,11 +478,10 @@ mod tests {
         db.insert_int("r", &[&[1, 1], &[2, 2]]);
         let q = parse_query("q(X) :- r(X, Y, Z)").unwrap();
         let before = obs::counter_value("engine.arity_mismatch_skips");
-        let ans = both_engines(|| evaluate(&q, &db));
+        let ans = evaluate(&q, &db);
         assert!(ans.is_empty());
         let after = obs::counter_value("engine.arity_mismatch_skips");
-        // Two tuples skipped per engine run (both_engines runs twice).
-        assert_eq!(after - before, 4);
+        assert_eq!(after - before, 2);
     }
 
     #[test]
@@ -695,7 +489,7 @@ mod tests {
         let mut db = Database::new();
         db.insert_int("e", &[&[1, 2], &[2, 3], &[3, 1]]);
         let q = parse_query("q(X, Z) :- e(X, Y), e(Y, Z)").unwrap();
-        let ans = both_engines(|| evaluate(&q, &db));
+        let ans = evaluate(&q, &db);
         assert_eq!(ans.len(), 3);
         assert!(ans.contains(&[Value::Int(1), Value::Int(3)]));
     }
@@ -704,23 +498,7 @@ mod tests {
     fn empty_body_returns_unit() {
         let db = Database::new();
         let q = viewplan_cq::ConjunctiveQuery::new(Atom::new("q", vec![]), vec![]);
-        let ans = both_engines(|| evaluate(&q, &db));
+        let ans = evaluate(&q, &db);
         assert_eq!(ans.len(), 1);
-    }
-
-    #[test]
-    fn answer_insertion_order_is_engine_independent() {
-        let db = figure5_db();
-        let q = parse_query("q(A, B) :- t(A, B), s(B, B)").unwrap();
-        let row = {
-            let _g = install(Engine::Row);
-            evaluate(&q, &db)
-        };
-        let col = {
-            let _g = install(Engine::Columnar);
-            evaluate(&q, &db)
-        };
-        // Stronger than set equality: byte-identical tuple order.
-        assert_eq!(row.as_slice(), col.as_slice());
     }
 }

@@ -7,10 +7,8 @@
 //!
 //! * [`Relation`], [`Database`] — set-semantics relations over [`Value`]s,
 //!   with a lazily-cached columnar ([`ColumnarRelation`]) twin;
-//! * [`evaluate`] — multiway hash-join evaluation of a conjunctive query,
-//!   on either the row-at-a-time executor or the columnar batch executor
-//!   ([`Engine`], selected by `--engine` / `VIEWPLAN_ENGINE`; both produce
-//!   byte-identical answers and traces);
+//! * [`evaluate`] — multiway hash-join evaluation of a conjunctive query
+//!   on the columnar batch executor, the crate's only executor;
 //! * [`materialize_views`] — compute view relations from base relations
 //!   (the closed-world assumption: views hold *exactly* these tuples);
 //! * [`canonical_database`] — the frozen database `D_Q` of §3.3, with
@@ -37,20 +35,15 @@ mod batch;
 pub mod canonical;
 pub mod columnar;
 pub mod database;
-pub mod engine;
 pub mod error;
 pub mod eval;
 pub mod materialize;
 pub mod relation;
 pub mod value;
-pub mod yannakakis;
 
 pub use canonical::{canonical_database, freeze_term, unfreeze_value};
 pub use columnar::{Column, ColumnarRelation};
 pub use database::Database;
-pub use engine::{
-    current_engine, default_engine, install, set_default_engine, Engine, EngineGuard,
-};
 pub use error::EngineError;
 pub use eval::{
     evaluate, execute_annotated, execute_ordered, try_evaluate, try_execute_annotated,
@@ -59,4 +52,3 @@ pub use eval::{
 pub use materialize::materialize_views;
 pub use relation::{Relation, Tuple};
 pub use value::Value;
-pub use yannakakis::reduced_tuple_count;

@@ -278,9 +278,12 @@ impl HistogramSnapshot {
     /// The change since `earlier` (an older snapshot of the same
     /// histogram): `count`, `sum`, and per-bucket counts subtract
     /// (saturating, so a reset between snapshots degrades to the later
-    /// values instead of wrapping); `min`/`max` are **not** differential
-    /// — they carry the later snapshot's whole-history bounds, which
-    /// still bound every observation of the interval.
+    /// values instead of wrapping). The exact interval `min`/`max` are
+    /// not recoverable from two snapshots, so they are bounded by the
+    /// delta's own first and last nonempty buckets, intersected with the
+    /// later snapshot's whole-history bounds — tight enough that
+    /// [`percentile`](Self::percentile) never reports an observation
+    /// from before `earlier` (both are 0 for an empty delta).
     pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         let earlier_count = |lo: u64| {
             earlier
@@ -289,19 +292,24 @@ impl HistogramSnapshot {
                 .find(|b| b.lo == lo)
                 .map_or(0, |b| b.count)
         };
+        let buckets: Vec<BucketCount> = self
+            .buckets
+            .iter()
+            .filter_map(|b| {
+                let count = b.count.saturating_sub(earlier_count(b.lo));
+                (count > 0).then_some(BucketCount { count, ..*b })
+            })
+            .collect();
+        let (min, max) = match (buckets.first(), buckets.last()) {
+            (Some(first), Some(last)) => (self.min.max(first.lo), self.max.min(last.hi)),
+            _ => (0, 0),
+        };
         HistogramSnapshot {
             count: self.count.saturating_sub(earlier.count),
             sum: self.sum.saturating_sub(earlier.sum),
-            min: self.min,
-            max: self.max,
-            buckets: self
-                .buckets
-                .iter()
-                .filter_map(|b| {
-                    let count = b.count.saturating_sub(earlier_count(b.lo));
-                    (count > 0).then_some(BucketCount { count, ..*b })
-                })
-                .collect(),
+            min,
+            max,
+            buckets,
         }
     }
 }
@@ -591,5 +599,32 @@ mod tests {
         assert_eq!(d.buckets.len(), 1);
         assert_eq!(d.buckets[0].count, 2);
         assert_eq!(d.buckets[0].lo, 4);
+    }
+
+    #[test]
+    fn histogram_delta_bounds_min_max_by_its_own_buckets() {
+        // A cold pass records a large outlier; the warm pass only small
+        // values. The warm delta must not report the cold pass's max.
+        let cell = HistogramCell::new();
+        cell.record(3);
+        cell.record(594);
+        let cold = cell.snapshot();
+        cell.record(5);
+        cell.record(7);
+        let warm = cell.snapshot().delta_since(&cold);
+        assert_eq!((warm.min, warm.max), (4, 7));
+        assert_eq!(warm.percentile(1.0), 7.0);
+        assert!(warm.percentile(0.0) >= 4.0);
+        // Inside one bucket the whole-history bounds are the tighter
+        // side: the later snapshot's max caps the last bucket.
+        let cell = HistogramCell::new();
+        cell.record(70);
+        let a = cell.snapshot();
+        cell.record(100);
+        let d = cell.snapshot().delta_since(&a);
+        assert_eq!((d.min, d.max), (70, 100));
+        // An empty delta has zero bounds.
+        let empty = cell.snapshot().delta_since(&cell.snapshot());
+        assert_eq!((empty.count, empty.min, empty.max), (0, 0, 0));
     }
 }

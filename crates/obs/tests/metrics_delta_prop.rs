@@ -97,7 +97,7 @@ proptest! {
         let got: std::collections::BTreeMap<u64, u64> =
             h.buckets.iter().map(|b| (b.lo, b.count)).collect();
         prop_assert_eq!(got, expected);
-        // min/max are whole-history bounds (documented), so they bound
+        // min/max are bucket-bounded (documented), so they still bound
         // every observation of the interval.
         for &v in &values {
             prop_assert!(h.min <= v && v <= h.max);

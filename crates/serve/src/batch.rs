@@ -38,7 +38,7 @@ use viewplan_containment::canonicalize;
 use viewplan_core::{parallel_map, CoreCover, CoreCoverConfig, PreparedViews, Rewriting};
 use viewplan_cost::{CostModel, Optimizer, PhysicalPlan, PlanError, PlannedRewriting, SizeOracle};
 use viewplan_cq::{Atom, ConjunctiveQuery, Substitution, Symbol, Term, ViewSet};
-use viewplan_engine::{AnnotatedStep, Engine};
+use viewplan_engine::AnnotatedStep;
 use viewplan_obs as obs;
 use viewplan_obs::budget::BudgetSpec;
 use viewplan_obs::Completeness;
@@ -58,11 +58,6 @@ pub struct ServeConfig {
     pub budget: BudgetSpec,
     /// Rewriting-cache capacity in entries; `0` disables caching.
     pub cache_capacity: usize,
-    /// Which execution engine the server installs while preparing views
-    /// and serving requests. Defaults to the process-wide
-    /// [`viewplan_engine::default_engine`] (columnar unless overridden
-    /// via `VIEWPLAN_ENGINE` or the CLI's `--engine` flag).
-    pub engine: Engine,
 }
 
 impl Default for ServeConfig {
@@ -72,7 +67,6 @@ impl Default for ServeConfig {
             corecover: CoreCoverConfig::default(),
             budget: BudgetSpec::new(),
             cache_capacity: 4096,
-            engine: viewplan_engine::default_engine(),
         }
     }
 }
@@ -170,7 +164,6 @@ impl BatchServer {
     /// A server with explicit configuration. The per-view-set
     /// preprocessing runs here, once.
     pub fn with_config(views: &ViewSet, config: ServeConfig) -> BatchServer {
-        let _engine = viewplan_engine::install(config.engine);
         let prepared = Arc::new(PreparedViews::prepare(views));
         let cache = (config.cache_capacity > 0)
             .then(|| Arc::new(RewritingCache::new(config.cache_capacity)));
@@ -270,10 +263,6 @@ impl BatchServer {
         query: &ConjunctiveQuery,
         spec: &BudgetSpec,
     ) -> Result<ServedAnswer, PlanError> {
-        // Installed per request (not once at construction) because
-        // `serve_batch` fans requests out across pool threads and the
-        // engine override is thread-local.
-        let _engine = viewplan_engine::install(self.config.engine);
         let epoch = self.epoch();
         let c = canonicalize(query);
         let Some(cache) = &self.cache else {

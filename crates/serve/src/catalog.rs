@@ -173,12 +173,7 @@ impl LiveCatalog {
     ) -> Result<DdlOutcome, String> {
         let old_epoch = current.epoch();
         let new_epoch = old_epoch + 1;
-        let prepared = {
-            // Same engine the server installs per request: the grouping
-            // pass may evaluate views, and the override is thread-local.
-            let _engine = viewplan_engine::install(current.config().engine);
-            Arc::new(PreparedViews::prepare_with_epoch(&views, new_epoch))
-        };
+        let prepared = Arc::new(PreparedViews::prepare_with_epoch(&views, new_epoch));
         if self.faults.fires(FaultPoint::Swap) {
             return Err(format!(
                 "injected swap fault: catalog stays at epoch {old_epoch}"

@@ -156,31 +156,16 @@ fn run(args: &[String]) -> Result<(), CliError> {
 }
 
 /// Runs a command with stats collection enabled when requested, emitting
-/// the reports afterwards. Also installs the `--engine` selection first,
-/// so every evaluation in the command runs on the requested executor.
+/// the reports afterwards. Rejects unknown `--` flags first, so a typo
+/// (or a removed option) is a usage error rather than silently ignored.
 fn with_stats(
     args: &[String],
     command: fn(&[String]) -> Result<(), CliError>,
 ) -> Result<(), CliError> {
-    engine_arg(args)?;
+    positional_args(args)?;
     let stats = stats_request(args);
     command(args)?;
     stats.emit()
-}
-
-/// The `--engine row|columnar|yannakakis` flag: sets the process-wide
-/// default executor (the `VIEWPLAN_ENGINE` environment variable is the
-/// fallback, and the columnar engine the default).
-fn engine_arg(args: &[String]) -> Result<(), CliError> {
-    if let Some(v) = option(args, "--engine") {
-        let engine = Engine::from_name(v).ok_or_else(|| {
-            CliError::Input(format!(
-                "--engine expects `row`, `columnar`, or `yannakakis`, got {v:?}"
-            ))
-        })?;
-        set_default_engine(engine);
-    }
-    Ok(())
 }
 
 fn print_help() {
@@ -238,18 +223,13 @@ fn print_help() {
          ground facts the default model is m1; --json emits a stable\n\
          machine-readable document (golden-tested).\n\
          \n\
-         `bench` runs the fixed star/chain/random sweep suites, a\n\
-         cold/warm serve loop, and a row-vs-columnar engine comparison,\n\
-         writing schema-versioned BENCH_core.json, BENCH_serve.json, and\n\
-         BENCH_engine.json to --out DIR (--smoke shrinks them for CI).\n\
+         `bench` runs the fixed star/chain/random sweep suites and a\n\
+         cold/warm serve loop, writing schema-versioned BENCH_core.json\n\
+         and BENCH_serve.json to --out DIR (--smoke shrinks them for CI).\n\
          --validate re-checks BENCH files; --validate-trace checks a\n\
          --trace-json export parses and balances.\n\
          \n\
-         Common flags: --engine row|columnar|yannakakis (pick the\n\
-         executor; all produce byte-identical answers; yannakakis\n\
-         semijoin-reduces acyclic queries first, falling back to\n\
-         columnar on cyclic ones; default: columnar or\n\
-         VIEWPLAN_ENGINE), --stats (phase/counter report on stderr),\n\
+         Common flags: --stats (phase/counter report on stderr),\n\
          --stats-json FILE (dump the metrics registry as JSON),\n\
          --trace (render the request's span tree + typed events on\n\
          stderr), --trace-json FILE (Chrome trace-event export),\n\
@@ -429,7 +409,6 @@ fn use_color() -> bool {
 const VALUE_OPTIONS: &[&str] = &[
     "--model",
     "--baseline",
-    "--engine",
     "--stats-json",
     "--threads",
     "--timeout-ms",
@@ -458,6 +437,21 @@ const VALUE_OPTIONS: &[&str] = &[
     "--write-timeout-ms",
 ];
 
+/// Options that take no value. Any `--` argument in neither list is a
+/// usage error.
+const FLAG_OPTIONS: &[&str] = &[
+    "--all-minimal",
+    "--json",
+    "--no-cache",
+    "--no-grouping",
+    "--no-prune",
+    "--smoke",
+    "--stats",
+    "--trace",
+    "--validate",
+    "--validate-trace",
+];
+
 fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
@@ -473,26 +467,29 @@ fn option<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 /// list left to right so an option *value* is consumed by its option and
 /// never mistaken for a positional — and, conversely, a positional that
 /// merely *equals* some option's value is kept (the old any-match scan
-/// dropped `viewplan plan m2 --model m2`'s FILE).
-fn positional_args(args: &[String]) -> Vec<&str> {
+/// dropped `viewplan plan m2 --model m2`'s FILE). A `--` argument in
+/// neither [`VALUE_OPTIONS`] nor [`FLAG_OPTIONS`] is a usage error.
+fn positional_args(args: &[String]) -> Result<Vec<&str>, CliError> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
         if VALUE_OPTIONS.contains(&a) {
             i += 2; // skip the option and its value
+        } else if FLAG_OPTIONS.contains(&a) {
+            i += 1;
         } else if a.starts_with("--") {
-            i += 1; // boolean flag
+            return Err(CliError::Input(format!("unknown option {a:?}")));
         } else {
             out.push(a);
             i += 1;
         }
     }
-    out
+    Ok(out)
 }
 
 fn file_arg(args: &[String]) -> Result<&str, CliError> {
-    let positionals = positional_args(args);
+    let positionals = positional_args(args)?;
     match positionals.as_slice() {
         [] => Err(CliError::input("missing FILE argument")),
         [file] => Ok(file),
@@ -788,11 +785,10 @@ fn plan(args: &[String]) -> Result<(), CliError> {
 /// or (with `--validate`) check existing documents against the schema.
 fn bench(args: &[String]) -> Result<(), CliError> {
     use viewplan_bench::trajectory::{
-        core_trajectory, engine_trajectory, serve_trajectory, validate_core, validate_engine,
-        validate_serve, TrajectoryConfig,
+        core_trajectory, serve_trajectory, validate_core, validate_serve, TrajectoryConfig,
     };
     if flag(args, "--validate-trace") {
-        let files = positional_args(args);
+        let files = positional_args(args)?;
         if files.is_empty() {
             return Err(CliError::input(
                 "bench --validate-trace needs one or more Chrome trace JSON files",
@@ -810,7 +806,7 @@ fn bench(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
     if flag(args, "--validate") {
-        let files = positional_args(args);
+        let files = positional_args(args)?;
         if files.is_empty() {
             return Err(CliError::input(
                 "bench --validate needs one or more BENCH_*.json files",
@@ -825,7 +821,6 @@ fn bench(args: &[String]) -> Result<(), CliError> {
             let result = match suite {
                 Some("core") => validate_core(&doc),
                 Some("serve") => validate_serve(&doc),
-                Some("engine") => validate_engine(&doc),
                 other => Err(format!("unknown suite tag {other:?}")),
             };
             result.map_err(|e| CliError::Input(format!("{path}: schema violation: {e}")))?;
@@ -850,11 +845,6 @@ fn bench(args: &[String]) -> Result<(), CliError> {
             "BENCH_serve.json",
             serve_trajectory(&config),
             validate_serve,
-        ),
-        (
-            "BENCH_engine.json",
-            engine_trajectory(&config),
-            validate_engine,
         ),
     ] {
         validate(&doc)
@@ -1051,7 +1041,7 @@ fn batch(args: &[String]) -> Result<(), CliError> {
     let config = serve_config(args)?;
     let (views, queries) = match option(args, "--workload") {
         Some(shape) => {
-            if let Some(extra) = positional_args(args).first() {
+            if let Some(extra) = positional_args(args)?.first() {
                 return Err(CliError::Input(format!(
                     "unexpected argument {extra:?} — `--workload` generates its own stream"
                 )));
@@ -1383,7 +1373,7 @@ fn loadgen(args: &[String]) -> Result<(), CliError> {
 /// completeness marker; a rewriting failing post-hoc verification is an
 /// internal error (exit 1).
 fn soak(args: &[String]) -> Result<(), CliError> {
-    if let Some(extra) = positional_args(args).first() {
+    if let Some(extra) = positional_args(args)?.first() {
         return Err(CliError::Input(format!(
             "unexpected argument {extra:?} — `soak` generates its own workloads"
         )));
@@ -1531,7 +1521,7 @@ mod tests {
     #[test]
     fn positional_order_is_preserved() {
         assert_eq!(
-            positional_args(&args(&["--stats", "x", "--model", "m3", "y"])),
+            positional_args(&args(&["--stats", "x", "--model", "m3", "y"])).unwrap(),
             ["x", "y"]
         );
     }

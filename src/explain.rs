@@ -84,9 +84,8 @@ pub struct Explanation {
     /// The minimized query the search actually ran on.
     pub minimized_query: String,
     /// Whether the minimized query's hypergraph is acyclic (GYO reduces
-    /// it fully) — when true, containment checks against it are
-    /// fast-path eligible and Yannakakis evaluation applies. Structural:
-    /// independent of the `VIEWPLAN_ACYCLIC` switch.
+    /// it fully) — when true, containment checks against it take the
+    /// semijoin fast path.
     pub acyclic: bool,
     /// Hypertree-width estimate of the minimized query (1 iff acyclic).
     pub hypertree_width: usize,
@@ -618,8 +617,7 @@ mod tests {
         assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(1));
         assert_eq!(parsed.get("model").unwrap().as_str(), Some("m1"));
         assert!(parsed.get("winner").unwrap().get("cost").is_some());
-        // Structural acyclicity provenance (independent of the
-        // VIEWPLAN_ACYCLIC switch, so goldens hold under both settings).
+        // Structural acyclicity provenance.
         let structure = parsed.get("structure").unwrap();
         assert_eq!(structure.get("hypertree_width").unwrap().as_u64(), Some(1));
         // Deterministic: a second run renders the identical document.

@@ -76,14 +76,13 @@ pub mod prelude {
         ExactOracle, Optimizer, OptimizerConfig, PhysicalPlan, SizeOracle,
     };
     pub use viewplan_cq::{
-        acyclic_enabled, hypertree_width_estimate, install_acyclic, is_acyclic, join_forest,
-        parse_atom, parse_query, parse_views, set_acyclic_default, Atom, ConjunctiveQuery,
-        Substitution, Symbol, Term, View, ViewSet,
+        hypertree_width_estimate, is_acyclic, join_forest, parse_atom, parse_query, parse_views,
+        Atom, ConjunctiveQuery, Substitution, Symbol, Term, View, ViewSet,
     };
     pub use viewplan_engine::{
         canonical_database, evaluate, execute_annotated, execute_ordered, materialize_views,
-        set_default_engine, try_evaluate, try_execute_annotated, try_execute_ordered, Database,
-        Engine, EngineError, Relation, Value,
+        try_evaluate, try_execute_annotated, try_execute_ordered, Database, EngineError, Relation,
+        Value,
     };
     pub use viewplan_serve::{BatchServer, ServeConfig, ServedAnswer};
     pub use viewplan_workload::{generate, random_database, Shape, Workload, WorkloadConfig};

@@ -1,8 +1,9 @@
-//! Differential testing of the acyclic semijoin fast path against the
-//! homomorphism DFS — the containment half of the acyclicity tentpole:
-//! for every query pair, the semijoin verdict and the search verdict
-//! must be the **same boolean**, whether checks run on one thread or
-//! eight, with or without node budgets.
+//! Differential testing of `is_contained_in` — which decides acyclic
+//! patterns by semijoins and falls back to the homomorphism DFS on
+//! cyclic ones — against the homomorphism DFS called directly
+//! ([`containment_mapping_complete`]): for every query pair the two
+//! verdicts must be the **same boolean**, whether checks run on one
+//! thread or eight, with or without node budgets.
 //!
 //! Routing is also pinned down: acyclic patterns (star, chain) provably
 //! take the fast path and cyclic ones (triangles) provably fall back to
@@ -11,29 +12,30 @@
 //!
 //! Every generated body stays at or under 5 subgoals, so no pair here
 //! reaches the containment memo cache's `MIN_CACHED_SUBGOALS`
-//! threshold — each `is_contained_in` call below really runs its route,
-//! rather than replaying a verdict the *other* route cached.
+//! threshold — each `is_contained_in` call below really runs its route
+//! rather than replaying a cached verdict.
 
 use proptest::prelude::*;
+use viewplan::containment::containment::containment_mapping_complete;
 use viewplan::obs::BudgetSpec;
 use viewplan::prelude::*;
 
-/// Runs `is_contained_in(q1, q2)` under each route (thread-local switch)
-/// and asserts the verdicts agree. Returns the shared verdict.
+/// The homomorphism-DFS verdict for `q1 ⊑ q2`: a containment mapping
+/// from `q2` onto `q1`, searched without the semijoin route or the cache.
+fn homomorphism_verdict(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
+    containment_mapping_complete(q2, q1).0.is_some()
+}
+
+/// Runs `is_contained_in(q1, q2)` and the homomorphism reference and
+/// asserts the verdicts agree. Returns the shared verdict.
 fn both_routes(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
-    let fast = {
-        let _g = install_acyclic(true);
-        is_contained_in(q1, q2)
-    };
-    let slow = {
-        let _g = install_acyclic(false);
-        is_contained_in(q1, q2)
-    };
+    let routed = is_contained_in(q1, q2);
+    let reference = homomorphism_verdict(q1, q2);
     assert_eq!(
-        fast, slow,
-        "semijoin fast path diverged from homomorphism search on\n  q1 = {q1}\n  q2 = {q2}"
+        routed, reference,
+        "is_contained_in diverged from homomorphism search on\n  q1 = {q1}\n  q2 = {q2}"
     );
-    fast
+    routed
 }
 
 // ---------------------------------------------------------------------
@@ -131,13 +133,9 @@ proptest! {
     /// the *unbudgeted* ground truth.
     #[test]
     fn fast_path_verdicts_survive_node_budgets(q1 in arb_star(), q2 in arb_star()) {
-        let truth = {
-            let _g = install_acyclic(false);
-            is_contained_in(&q1, &q2)
-        };
+        let truth = homomorphism_verdict(&q1, &q2);
         let starved = {
             let _budget = viewplan::obs::budget::install(BudgetSpec::new().node_budget(1).build());
-            let _g = install_acyclic(true);
             is_contained_in(&q1, &q2)
         };
         prop_assert_eq!(starved, truth, "budget truncated a fast-path verdict");
@@ -158,7 +156,6 @@ fn counters_prove_routing() {
     let tri1 = parse_query("q() :- e0(X, Y), e0(Y, Z), e0(Z, X)").unwrap();
     let tri2 = parse_query("q() :- e0(X, X)").unwrap();
 
-    let _g = install_acyclic(true);
     let fast_before = viewplan::obs::counter_value("containment.acyclic_fast_path");
     assert!(both_routes(&star1, &star2));
     let fast_after = viewplan::obs::counter_value("containment.acyclic_fast_path");
@@ -180,10 +177,8 @@ fn counters_prove_routing() {
 }
 
 // ---------------------------------------------------------------------
-// Worker threads. Thread-local switch overrides do not propagate into
-// spawned threads, so the multi-threaded run steers routing through the
-// process-wide default — exactly how `VIEWPLAN_THREADS=8` serving
-// workers see the switch.
+// Worker threads. Routing depends only on the query pair, so spawned
+// threads decide every pair exactly as the calling thread does.
 
 /// A fixed corpus with known mixed verdicts, each checked both ways.
 fn corpus() -> Vec<(ConjunctiveQuery, ConjunctiveQuery)> {
@@ -205,35 +200,24 @@ fn corpus() -> Vec<(ConjunctiveQuery, ConjunctiveQuery)> {
 #[test]
 fn verdicts_agree_across_eight_worker_threads() {
     let pairs = corpus();
-    // Ground truth: the DFS, serially, via the thread-local override.
+    // Ground truth: the homomorphism DFS, serially.
     let truth: Vec<(bool, bool)> = pairs
         .iter()
-        .map(|(a, b)| {
-            let _g = install_acyclic(false);
-            (is_contained_in(a, b), is_contained_in(b, a))
+        .map(|(a, b)| (homomorphism_verdict(a, b), homomorphism_verdict(b, a)))
+        .collect();
+    let handles: Vec<_> = (0..8)
+        .map(|_| {
+            let pairs = corpus();
+            let truth = truth.clone();
+            std::thread::spawn(move || {
+                for ((a, b), expected) in pairs.iter().zip(&truth) {
+                    let got = (is_contained_in(a, b), is_contained_in(b, a));
+                    assert_eq!(got, *expected, "verdict diverged on {a} / {b}");
+                }
+            })
         })
         .collect();
-    let restore = viewplan::cq::acyclic_default();
-    for on in [true, false] {
-        set_acyclic_default(on);
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let pairs = corpus();
-                let truth = truth.clone();
-                std::thread::spawn(move || {
-                    for ((a, b), expected) in pairs.iter().zip(&truth) {
-                        let got = (is_contained_in(a, b), is_contained_in(b, a));
-                        assert_eq!(
-                            got, *expected,
-                            "default={on}: verdict diverged on {a} / {b}"
-                        );
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+    for h in handles {
+        h.join().unwrap();
     }
-    set_acyclic_default(restore);
 }

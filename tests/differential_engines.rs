@@ -1,16 +1,13 @@
-//! Differential testing of the columnar batch engine against the row
-//! engine — the PR's tentpole contract: for every query, database, thread
-//! count, and budget, the two engines must produce *byte-identical*
-//! results, including the answer's row order and the full
-//! [`viewplan::engine::ExecutionTrace`] (subgoal/IR/GSR sizes).
-//!
-//! The Yannakakis engine joins the same contract: acyclic queries run
-//! the semijoin full reduction before joining, cyclic ones fall back,
-//! and either way every answer, trace, and served render below must be
-//! byte-identical to the row and columnar engines.
+//! Differential testing of the hash-join executor against the
+//! nested-loop reference engine shared with the engine crate's
+//! `reference_eval.rs` suite (which holds the random-query proptests):
+//! answers and full [`viewplan::engine::ExecutionTrace`]s must agree on
+//! optimizer-chosen plans, empty and missing relations, and self-joins.
+//! Served renders must be byte-identical at thread counts 1 and 8, with
+//! and without node budgets.
 //!
 //! The second half holds regression tests for the three error-path
-//! bugfixes that rode along:
+//! bugfixes:
 //!
 //! 1. an unsafe head query (head variable never bound by the body) is a
 //!    typed [`EngineError::UnboundHeadVariable`], and exits the CLI
@@ -22,138 +19,41 @@
 //!    [`EngineError::ArityConflict`] from `Database::try_get_or_create`
 //!    / `try_insert`, and a bad fact file exits the CLI with code 2.
 
-use proptest::prelude::*;
+#[path = "../crates/engine/tests/reference/mod.rs"]
+mod reference;
+
 use std::process::Command;
-use viewplan::engine::install;
 use viewplan::obs::BudgetSpec;
 use viewplan::prelude::*;
 
-/// Runs `f` under each engine and asserts the outputs are equal,
-/// including row order where the output is a relation slice.
-fn both_engines<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) -> T {
-    let row = {
-        let _g = install(Engine::Row);
-        f()
-    };
-    let columnar = {
-        let _g = install(Engine::Columnar);
-        f()
-    };
-    assert_eq!(row, columnar, "row and columnar engines diverged");
-    columnar
-}
-
-/// [`both_engines`] plus the Yannakakis engine: all three must agree
-/// byte-for-byte.
-fn all_engines<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) -> T {
-    let baseline = both_engines(&f);
-    let yannakakis = {
-        let _g = install(Engine::Yannakakis);
-        f()
-    };
-    assert_eq!(
-        baseline, yannakakis,
-        "yannakakis engine diverged from row/columnar"
-    );
-    yannakakis
+/// Evaluates `q` and executes its body in order, asserting both agree
+/// with the nested-loop reference (trace sizes and answer row order
+/// included). Returns the answer rows.
+fn matches_reference(q: &ConjunctiveQuery, db: &Database) -> Vec<Vec<Value>> {
+    let answer = evaluate(q, db);
+    assert_eq!(answer, reference::evaluate(q, db), "answer diverged on {q}");
+    let trace = execute_ordered(&q.head, &q.body, db);
+    let expected = reference::execute_ordered(&q.head, &q.body, db);
+    assert_eq!(trace, expected, "trace diverged on {q}");
+    assert_eq!(trace.answer.as_slice(), expected.answer.as_slice());
+    assert_eq!(trace.answer, answer);
+    answer.as_slice().to_vec()
 }
 
 // ---------------------------------------------------------------------
-// Random queries and databases (same shape as the engine crate's
-// nested-loop reference suite, but comparing the two engines).
-
-fn arb_query() -> impl Strategy<Value = ConjunctiveQuery> {
-    let term = prop_oneof![
-        5 => (0..4usize).prop_map(|i| Term::var(&format!("V{i}"))),
-        1 => (0..3i64).prop_map(Term::int),
-    ];
-    let atom = ((0..3usize), prop::collection::vec(term, 1..=3))
-        .prop_map(|(p, ts)| Atom::new(format!("rel{}_{}", p, ts.len()).as_str(), ts));
-    prop::collection::vec(atom, 1..=4).prop_map(|body| {
-        let mut vars: Vec<Symbol> = Vec::new();
-        for a in &body {
-            for v in a.variables() {
-                if !vars.contains(&v) {
-                    vars.push(v);
-                }
-            }
-        }
-        let head_terms: Vec<Term> = vars.into_iter().map(Term::Var).collect();
-        ConjunctiveQuery::new(Atom::new("out", head_terms), body)
-    })
-}
-
-fn arb_db(q: &ConjunctiveQuery) -> impl Strategy<Value = Database> {
-    let preds: Vec<(Symbol, usize)> = {
-        let mut seen = std::collections::HashSet::new();
-        q.body
-            .iter()
-            .filter(|a| seen.insert(a.predicate))
-            .map(|a| (a.predicate, a.arity()))
-            .collect()
-    };
-    let tables: Vec<_> = preds
-        .into_iter()
-        .map(|(name, arity)| {
-            prop::collection::vec(prop::collection::vec(0i64..4, arity), 0..8)
-                .prop_map(move |rows| (name, rows))
-        })
-        .collect();
-    tables.prop_map(|tables| {
-        let mut db = Database::new();
-        for (name, rows) in tables {
-            for row in rows {
-                db.insert(name, row.into_iter().map(Value::Int).collect());
-            }
-        }
-        db
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Random query + database: `evaluate` and `execute_ordered` agree
-    /// across all three engines, trace and answer order included. The
-    /// generator's mix of chains, stars, cycles, self-joins, and
-    /// disconnected bodies exercises both the Yannakakis reduction and
-    /// its cyclic fallback.
-    #[test]
-    fn engines_agree_on_random_queries(
-        (q, db) in arb_query().prop_flat_map(|q| {
-            let db = arb_db(&q);
-            (Just(q), db)
-        })
-    ) {
-        all_engines(|| {
-            let answer = evaluate(&q, &db);
-            let trace = execute_ordered(&q.head, &q.body, &db);
-            assert_eq!(trace.answer, answer);
-            (
-                trace.subgoal_sizes.clone(),
-                trace.intermediate_sizes.clone(),
-                trace.answer.as_slice().to_vec(),
-            )
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
-// Workload-scale differential: the full pipeline (CoreCover over
-// canonical databases, M1 planning, serving) under each engine, at
-// thread counts 1 and 8, with and without node budgets.
+// Workload-scale: the full pipeline (CoreCover over canonical databases,
+// M1 planning, serving) at thread counts 1 and 8, with and without node
+// budgets.
 
 fn served_renders(
     views: &ViewSet,
     stream: &[ConjunctiveQuery],
-    engine: Engine,
     threads: usize,
     budget: BudgetSpec,
 ) -> Vec<String> {
     let server = BatchServer::with_config(
         views,
         ServeConfig {
-            engine,
             budget,
             ..ServeConfig::default()
         },
@@ -169,7 +69,7 @@ fn served_renders(
 }
 
 #[test]
-fn engines_agree_on_served_workloads() {
+fn served_renders_agree_across_threads_and_budgets() {
     for (shape, seed) in [(0usize, 11u64), (1, 23), (2, 47)] {
         let make = match shape {
             0 => WorkloadConfig::star,
@@ -181,27 +81,18 @@ fn engines_agree_on_served_workloads() {
             .map(|i| generate(&make(10, 1, seed + i as u64)).query)
             .collect();
         for budget in [BudgetSpec::new(), BudgetSpec::new().node_budget(500)] {
-            for threads in [1usize, 8] {
-                let row = served_renders(&views, &stream, Engine::Row, threads, budget);
-                for engine in [Engine::Columnar, Engine::Yannakakis] {
-                    let other = served_renders(&views, &stream, engine, threads, budget);
-                    assert_eq!(
-                        row,
-                        other,
-                        "{} diverged from row (shape {shape}, seed {seed}, threads {threads})",
-                        engine.name()
-                    );
-                }
-            }
+            let serial = served_renders(&views, &stream, 1, budget);
+            let parallel = served_renders(&views, &stream, 8, budget);
+            assert_eq!(
+                serial, parallel,
+                "8 threads diverged from 1 (shape {shape}, seed {seed})"
+            );
         }
     }
 }
 
-/// Optimizer-chosen plans execute byte-identically under all three
-/// engines over a random view database (the M2/M3 ground-truth costing
-/// path). Annotated plans encode their own join order and drops, so the
-/// Yannakakis engine executes them through the shared columnar driver —
-/// the trace equality below is the proof that delegation stays exact.
+/// Optimizer-chosen plans over a random view database (the M2/M3
+/// ground-truth costing path) execute to the reference trace.
 #[test]
 fn engines_agree_on_optimized_plan_traces() {
     for seed in [3u64, 9, 27] {
@@ -215,32 +106,22 @@ fn engines_agree_on_optimized_plan_traces() {
                 base.insert(name, row.into_iter().map(Value::Int).collect());
             }
         }
-        let vdb = all_engines(|| materialize_views(&w.views, &base));
+        let vdb = materialize_views(&w.views, &base);
         let mut oracle = ExactOracle::new(&vdb);
         let Some(best) = Optimizer::new(&w.query, &w.views).best_plan(CostModel::M2, &mut oracle)
         else {
             continue;
         };
-        all_engines(|| {
-            let trace = best
-                .plan
-                .try_execute(&best.rewriting.head, &vdb)
-                .expect("optimizer plans never drop head variables");
-            (
-                trace.subgoal_sizes.clone(),
-                trace.intermediate_sizes.clone(),
-                trace.answer.as_slice().to_vec(),
-            )
-        });
+        let trace = best
+            .plan
+            .try_execute(&best.rewriting.head, &vdb)
+            .expect("optimizer plans never drop head variables");
+        let expected = reference::execute_annotated(&best.rewriting.head, &best.plan.steps, &vdb);
+        assert_eq!(trace, expected, "seed {seed}: plan trace diverged");
     }
 }
 
-// ---------------------------------------------------------------------
-// Yannakakis edge cases: the reduction must not change any answer even
-// when a relation is empty, missing, or joined against itself.
-
-/// An empty (or entirely absent) relation empties the acyclic join; the
-/// reduction short-circuits, and the answer stays byte-identical.
+/// An empty (or entirely absent) relation empties the join.
 #[test]
 fn engines_agree_with_empty_and_missing_relations() {
     let q = parse_query("q(X, Z) :- e(X, Y), f(Y, Z)").unwrap();
@@ -248,111 +129,40 @@ fn engines_agree_with_empty_and_missing_relations() {
     let mut db = Database::new();
     db.insert_int("e", &[&[1, 2], &[3, 4]]);
     db.set("f".into(), viewplan::engine::Relation::new(2));
-    let answer = all_engines(|| evaluate(&q, &db));
-    assert!(answer.is_empty());
+    assert!(matches_reference(&q, &db).is_empty());
     // `f` missing entirely.
     let mut db = Database::new();
     db.insert_int("e", &[&[1, 2]]);
-    let answer = all_engines(|| evaluate(&q, &db));
-    assert!(answer.is_empty());
+    assert!(matches_reference(&q, &db).is_empty());
 }
 
-/// Self-joins: both atoms read the same stored relation, but the
-/// reduction filters each *occurrence* independently (private per-atom
-/// names), so dangling tuples drop from one side without corrupting the
-/// other.
+/// Self-joins: both atoms read the same stored relation.
 #[test]
 fn engines_agree_on_self_joins() {
     let q = parse_query("q(X, Z) :- e(X, Y), e(Y, Z)").unwrap();
     let mut db = Database::new();
     // 1→2→3 chains; 7→8 dangles (no successor, no predecessor).
     db.insert_int("e", &[&[1, 2], &[2, 3], &[7, 8]]);
-    let answer = all_engines(|| {
-        let a = evaluate(&q, &db);
-        let trace = execute_ordered(&q.head, &q.body, &db);
-        assert_eq!(trace.answer, a);
-        a.as_slice().to_vec()
-    });
+    let answer = matches_reference(&q, &db);
     assert_eq!(answer.len(), 1, "only 1→2→3 completes the 2-chain");
-}
-
-/// Routing counters: acyclic bodies run the reduction, cyclic bodies
-/// take the fallback. Deltas use `>=` (shared registry).
-#[test]
-fn yannakakis_routing_counters_fire() {
-    viewplan::obs::set_enabled(true);
-    let _g = install(Engine::Yannakakis);
-    let mut db = Database::new();
-    db.insert_int("e", &[&[1, 2], &[2, 3]]);
-
-    let chain = parse_query("q(X, Z) :- e(X, Y), e(Y, Z)").unwrap();
-    let before = viewplan::obs::counter_value("engine.yannakakis_reductions");
-    evaluate(&chain, &db);
-    let after = viewplan::obs::counter_value("engine.yannakakis_reductions");
-    assert!(after > before, "acyclic chain did not run the reduction");
-
-    let triangle = parse_query("q(X) :- e(X, Y), e(Y, Z), e(Z, X)").unwrap();
-    let before = viewplan::obs::counter_value("engine.yannakakis_fallbacks");
-    evaluate(&triangle, &db);
-    let after = viewplan::obs::counter_value("engine.yannakakis_fallbacks");
-    assert!(after > before, "cyclic triangle did not fall back");
-}
-
-/// CLI: `eval --engine yannakakis` produces byte-identical stdout to
-/// the row and columnar engines on the bundled example problem (the
-/// served-answer agreement line included).
-#[test]
-fn cli_eval_is_byte_identical_across_engines() {
-    let outputs: Vec<(String, String)> = ["row", "columnar", "yannakakis"]
-        .iter()
-        .map(|engine| {
-            let out = Command::new(env!("CARGO_BIN_EXE_viewplan"))
-                .args([
-                    "eval",
-                    "examples/problems/carlocpart.vp",
-                    "--engine",
-                    engine,
-                ])
-                .output()
-                .expect("failed to spawn viewplan");
-            assert!(
-                out.status.success(),
-                "--engine {engine} failed: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            (
-                engine.to_string(),
-                String::from_utf8_lossy(&out.stdout).into_owned(),
-            )
-        })
-        .collect();
-    for (engine, stdout) in &outputs[1..] {
-        assert_eq!(
-            stdout, &outputs[0].1,
-            "--engine {engine} stdout diverged from row"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------
 // Regression tests for the three error-path bugfixes.
 
 /// Bugfix 1 (engine): a head variable the body never binds is a typed
-/// error from both engines, not an `expect` panic.
+/// error, not an `expect` panic.
 #[test]
 fn unbound_head_variable_is_a_typed_error() {
     let parsed = parse_query("q(A) :- r(A, B)").unwrap();
     let unsafe_q = ConjunctiveQuery::new(Atom::new("q", vec![Term::var("Z")]), parsed.body);
     let mut db = Database::new();
     db.insert_int("r", &[&[1, 2]]);
-    for engine in [Engine::Row, Engine::Columnar] {
-        let _g = install(engine);
-        let err = try_evaluate(&unsafe_q, &db).unwrap_err();
-        assert!(
-            matches!(err, EngineError::UnboundHeadVariable { .. }),
-            "expected UnboundHeadVariable, got {err}"
-        );
-    }
+    let err = try_evaluate(&unsafe_q, &db).unwrap_err();
+    assert!(
+        matches!(err, EngineError::UnboundHeadVariable { .. }),
+        "expected UnboundHeadVariable, got {err}"
+    );
 }
 
 /// Bugfix 1 (CLI): an unsafe head query is an input error — exit 2 with
@@ -384,15 +194,13 @@ fn arity_mismatch_increments_counter() {
     let mut db = Database::new();
     db.insert_int("r", &[&[1, 2], &[3, 4], &[5, 6]]); // stored arity 2, used with 3
     let before = viewplan::obs::counter_value("engine.arity_mismatch_skips");
-    let answer = all_engines(|| evaluate(&q, &db));
+    let answer = evaluate(&q, &db);
     assert!(answer.is_empty());
     let after = viewplan::obs::counter_value("engine.arity_mismatch_skips");
-    // 3 skipped tuples per engine (the Yannakakis reducer mirrors the
-    // join driver's per-atom accounting); `>=` because other tests
-    // share the process-global metrics registry.
+    // `>=` because other tests share the process-global metrics registry.
     assert!(
-        after >= before + 9,
-        "expected +9 skips, counter went {before} -> {after}"
+        after >= before + 3,
+        "expected +3 skips, counter went {before} -> {after}"
     );
 }
 

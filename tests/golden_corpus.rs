@@ -90,15 +90,6 @@ fn check_stats_counters(name: &str, problem: &str) {
         // VIEWPLAN_THREADS: parallel runs add scheduler counters
         // (parallel.batches/tasks) that are not part of this snapshot.
         .env("VIEWPLAN_THREADS", "1")
-        // Pin the execution engine too: the row and columnar engines
-        // register the same shared counters, but the columnar engine
-        // adds engine.batch_* counters this snapshot includes.
-        .env("VIEWPLAN_ENGINE", "columnar")
-        // And pin the acyclic fast path on: routing decides whether
-        // containment bumps `containment.acyclic_fast_path` or the
-        // homomorphism-search counters, so the snapshot must not float
-        // with the ambient VIEWPLAN_ACYCLIC matrix dimension.
-        .env("VIEWPLAN_ACYCLIC", "on")
         .args([
             "rewrite",
             problem,
@@ -234,8 +225,7 @@ golden! {
 
     // The acyclic fixtures: structural provenance (the `structure` line
     // and VP007's hypertree-width annotation) is a property of the
-    // hypergraph, not of the routing switch, so these snapshots are
-    // byte-identical under VIEWPLAN_ACYCLIC=on and =off — CI runs both.
+    // hypergraph.
     // The star's winner is a single bundled-view access; the chain's
     // twelve hops tile into exactly three v4 accesses, and its VP007
     // candidate estimate crosses the blowup threshold with the width
