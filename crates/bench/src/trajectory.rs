@@ -74,7 +74,10 @@
 //! documented ≤1-bucket interpolation error of
 //! [`viewplan_obs::HistogramSnapshot::percentile`]. Wall-clock and
 //! latency fields vary run to run; the *schema* (and the cache-behavior
-//! invariants cold-misses/warm-hits) is what validation pins.
+//! invariants cold-misses/warm-hits) is what validation pins, plus two
+//! latency bounds: `p99 <= max` wherever a section reports both, and, in
+//! `"full"` documents only, a socket-section p99 below
+//! [`FULL_SOCKET_P99_US`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -756,8 +759,14 @@ fn validate_acyclic(section: &Json) -> Result<(), String> {
 /// Validates a `BENCH_serve.json` document against schema version 1,
 /// including the cache-behavior invariant: the cold pass cannot hit more
 /// than the warm pass, and the warm pass must actually hit the cache.
+/// The p99 every socket section of a `"full"` `BENCH_serve.json` must
+/// stay below, µs. A blocking front-end answers these loads in a few
+/// ms; a p99 of 25 ms or more is the signature of a poll-sized stall.
+pub const FULL_SOCKET_P99_US: f64 = 25_000.0;
+
 pub fn validate_serve(doc: &Json) -> Result<(), String> {
     check_header(doc, "serve")?;
+    let full = expect_str(doc, "mode")? == "full";
     expect_u64(doc, "views")?;
     expect_u64(doc, "queries")?;
     let passes = doc.get("passes").ok_or("missing \"passes\" object")?;
@@ -782,10 +791,11 @@ pub fn validate_serve(doc: &Json) -> Result<(), String> {
         let p95 = expect_f64(lat, "p95")?;
         let p99 = expect_f64(lat, "p99")?;
         expect_f64(lat, "mean")?;
-        expect_u64(lat, "max")?;
-        if !(p50 <= p95 && p95 <= p99) {
+        let max = expect_u64(lat, "max")? as f64;
+        if !(p50 <= p95 && p95 <= p99 && p99 <= max) {
             return Err(format!(
-                "pass {label:?}: percentiles are not monotone (p50={p50}, p95={p95}, p99={p99})"
+                "pass {label:?}: percentiles are not monotone \
+                 (p50={p50}, p95={p95}, p99={p99}, max={max})"
             ));
         }
     }
@@ -803,7 +813,7 @@ pub fn validate_serve(doc: &Json) -> Result<(), String> {
         let block = overload
             .get(variant)
             .ok_or_else(|| format!("overload missing {variant:?}"))?;
-        validate_load_block(block, variant)?;
+        validate_load_block(block, variant, full)?;
     }
     let churn = doc.get("ddl_churn").ok_or("missing \"ddl_churn\" object")?;
     expect_u64(churn, "clients")?;
@@ -815,15 +825,17 @@ pub fn validate_serve(doc: &Json) -> Result<(), String> {
     validate_load_block(
         churn.get("report").ok_or("ddl_churn missing \"report\"")?,
         "ddl_churn.report",
+        full,
     )?;
     Ok(())
 }
 
 /// Structural invariants of one load-generator block: the accounting
 /// identity holds, nothing was silently dropped, no stale-epoch answer
-/// was served, and the latency percentiles are monotone. Timing fields
-/// (throughput, absolute latency) vary run to run and are not pinned.
-fn validate_load_block(block: &Json, label: &str) -> Result<(), String> {
+/// was served, and the latency percentiles are monotone (up to `max`,
+/// when the block reports one). Throughput is not pinned; absolute
+/// latency only by the [`FULL_SOCKET_P99_US`] ceiling in full mode.
+fn validate_load_block(block: &Json, label: &str, full: bool) -> Result<(), String> {
     let offered = expect_u64(block, "offered")?;
     if offered == 0 {
         return Err(format!("{label}: offered no requests"));
@@ -854,9 +866,19 @@ fn validate_load_block(block: &Json, label: &str) -> Result<(), String> {
     let p50 = expect_f64(lat, "p50")?;
     let p95 = expect_f64(lat, "p95")?;
     let p99 = expect_f64(lat, "p99")?;
-    if !(p50 <= p95 && p95 <= p99) {
+    let max = lat
+        .get("max")
+        .and_then(Json::as_f64)
+        .unwrap_or(f64::INFINITY);
+    if !(p50 <= p95 && p95 <= p99 && p99 <= max) {
         return Err(format!(
-            "{label}: percentiles are not monotone (p50={p50}, p95={p95}, p99={p99})"
+            "{label}: percentiles are not monotone (p50={p50}, p95={p95}, p99={p99}, max={max})"
+        ));
+    }
+    if full && p99 >= FULL_SOCKET_P99_US {
+        return Err(format!(
+            "{label}: p99 {p99} us is at or above the {FULL_SOCKET_P99_US} us full-mode \
+             ceiling — a poll-sized stall on the socket path"
         ));
     }
     Ok(())
@@ -963,6 +985,35 @@ mod tests {
             }
         }
         assert!(validate_serve(&stale).unwrap_err().contains("stale-epoch"));
+        // A pass whose p99 exceeds its max must be rejected.
+        let mut torn = doc.clone();
+        if let Json::Object(map) = &mut torn {
+            if let Some(Json::Object(passes)) = map.get_mut("passes") {
+                if let Some(Json::Object(warm)) = passes.get_mut("warm") {
+                    if let Some(Json::Object(lat)) = warm.get_mut("latency_us") {
+                        lat.insert("max".into(), Json::num(0));
+                    }
+                }
+            }
+        }
+        assert!(validate_serve(&torn).unwrap_err().contains("max=0"));
+        // A poll-sized socket p99: tolerated in smoke mode, rejected in
+        // a full document.
+        let mut stalled = doc.clone();
+        if let Json::Object(map) = &mut stalled {
+            if let Some(Json::Object(churn)) = map.get_mut("ddl_churn") {
+                if let Some(Json::Object(block)) = churn.get_mut("report") {
+                    if let Some(Json::Object(lat)) = block.get_mut("latency_us") {
+                        lat.insert("p99".into(), Json::num(26_444));
+                    }
+                }
+            }
+        }
+        validate_serve(&stalled).unwrap();
+        if let Json::Object(map) = &mut stalled {
+            map.insert("mode".into(), Json::str("full"));
+        }
+        assert!(validate_serve(&stalled).unwrap_err().contains("ceiling"));
         // Bump the version: must be rejected.
         if let Json::Object(map) = &mut doc {
             map.insert("schema_version".into(), Json::num(99));

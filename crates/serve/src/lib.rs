@@ -20,10 +20,11 @@
 //! * [`AdmissionQueue`] — bounded, deadline-aware admission with honest
 //!   load shedding ([`Completeness`](viewplan_obs::Completeness) on
 //!   every shed, never silence);
-//! * [`NetServer`] — a thread-per-core TCP front-end speaking the
-//!   length-prefixed [`net`] protocol, with read/write timeouts,
-//!   idle-connection reaping, graceful drain on shutdown, and
-//!   serving-layer fault injection ([`fault`]).
+//! * [`NetServer`] — a TCP front-end speaking the length-prefixed
+//!   [`net`] protocol: one blocking acceptor, a thread per connection,
+//!   and a worker pool behind the admission queue, with read/write
+//!   timeouts, idle-connection reaping, a prompt graceful drain on
+//!   shutdown, and serving-layer fault injection ([`fault`]).
 //!
 //! The correctness contract — a cached/batched answer is byte-identical
 //! to a cold single-query run *against the epoch that served it* — is

@@ -34,14 +34,20 @@
 //!
 //! # Threads
 //!
-//! `accept_threads` acceptors share the listener (nonblocking accept +
-//! short poll, so shutdown never waits on a blocking `accept`); each
-//! connection gets a handler thread that parses frames and *offers*
+//! One acceptor blocks in `accept`; each connection gets a handler
+//! thread that blocks reading frames through a `BufReader` and *offers*
 //! query work to the [`AdmissionQueue`](crate::admission); `workers`
 //! pipeline workers drain the queue against the catalog's current
-//! snapshot. Handlers apply three timeouts: `idle_timeout` (no frame
-//! starts — the connection is reaped), `read_timeout` (a started frame
-//! stalls), `write_timeout` (a response write stalls).
+//! snapshot. Nothing polls. A handler waits for the next frame under
+//! `idle_timeout` (expiry reaps the connection), reads it under
+//! `read_timeout`, and writes the response under `write_timeout`.
+//! Shutdown wakes every blocked thread explicitly: it sets the stop
+//! flag, closes the queue (workers drain admitted work, then exit),
+//! calls `shutdown(Read)` on every registered connection (a blocked
+//! read returns EOF, yet a handler awaiting an admitted reply can still
+//! write it), and connects once to the listener so `accept` returns.
+//! The acceptor registers a connection under the sweep's lock after
+//! re-checking the flag, so no connection escapes the sweep.
 //!
 //! # Fault injection
 //!
@@ -51,8 +57,11 @@
 //! every request is still accounted for (answered, shed, or failed
 //! loudly at the client; never silently dropped).
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::HashMap;
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use viewplan_cq::{parse_query, ConjunctiveQuery, Symbol, View};
@@ -62,13 +71,11 @@ use viewplan_sync::thread::{self, JoinHandle};
 use viewplan_sync::{mpsc, AtomicBool, AtomicU64, Mutex, Ordering};
 
 use crate::admission::AdmissionQueue;
-use crate::catalog::LiveCatalog;
+use crate::catalog::{DdlOutcome, LiveCatalog};
 
 /// Network front-end knobs.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Acceptor threads sharing the listener.
-    pub accept_threads: usize,
     /// Pipeline workers draining the admission queue.
     pub workers: usize,
     /// Admission queue capacity (waiting requests).
@@ -88,7 +95,6 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
-            accept_threads: 1,
             workers: 4,
             queue_capacity: 64,
             read_timeout: Duration::from_secs(5),
@@ -160,6 +166,13 @@ struct QueryJob {
     reply: mpsc::Sender<String>,
 }
 
+/// A live connection: its handler thread and a clone of its socket,
+/// which the shutdown sweep uses to wake the handler's blocked read.
+struct Connection {
+    handler: JoinHandle<()>,
+    stream: TcpStream,
+}
+
 struct Shared {
     catalog: Arc<LiveCatalog>,
     config: NetConfig,
@@ -167,23 +180,35 @@ struct Shared {
     shutdown: AtomicBool,
     accepted: AtomicU64,
     reaped_idle: AtomicU64,
-    handlers: Mutex<Vec<JoinHandle<()>>>,
+    /// Live connections by connection id; a handler removes its own.
+    connections: Mutex<HashMap<u64, Connection>>,
+    /// Where the shutdown wake-up connects to unblock `accept`.
+    wake_addr: SocketAddr,
 }
 
 impl Shared {
     fn shutting_down(&self) -> bool {
-        // ordering: cross-thread stop flag polled by acceptors, workers,
+        // ordering: cross-thread stop flag read by the acceptor, workers,
         // and handlers; SeqCst so a shutdown request is totally ordered
-        // against the queue close that follows it.
+        // against the queue close and the wake-ups that follow it.
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    /// Sets the flag, closes the queue, wakes every blocked read, then
+    /// the blocked `accept`. Only the first call does the work, so the
+    /// acceptor gets exactly one wake-connect.
     fn request_shutdown(&self) {
-        // ordering: see shutting_down — the store must not be reordered
+        // ordering: see shutting_down — the swap must not be reordered
         // after queue.close(), or a worker could observe a closed queue
         // while still believing the server is live.
-        self.shutdown.store(true, Ordering::SeqCst);
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
         self.queue.close();
+        for conn in self.connections.lock().values() {
+            let _ = conn.stream.shutdown(Shutdown::Read);
+        }
+        let _ = TcpStream::connect(self.wake_addr);
     }
 }
 
@@ -192,8 +217,8 @@ impl Shared {
 /// [`NetServer::wait`]).
 pub struct NetServer {
     shared: Arc<Shared>,
-    acceptors: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// The acceptor, then the workers.
+    threads: Vec<JoinHandle<()>>,
     addr: SocketAddr,
 }
 
@@ -206,8 +231,13 @@ impl NetServer {
         config: NetConfig,
     ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        // A wildcard address is not connectable everywhere; loopback is.
+        let wake_addr = match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, addr.port()).into(),
+            IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, addr.port()).into(),
+            _ => addr,
+        };
         let shared = Arc::new(Shared {
             queue: AdmissionQueue::new(config.queue_capacity),
             catalog,
@@ -215,22 +245,17 @@ impl NetServer {
             shutdown: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
             reaped_idle: AtomicU64::new(0),
-            handlers: Mutex::new(Vec::new()),
+            connections: Mutex::new(HashMap::new()),
+            wake_addr,
         });
-        let mut acceptors = Vec::new();
-        for i in 0..config.accept_threads.max(1) {
-            let listener = listener.try_clone()?;
-            let shared = shared.clone();
-            acceptors.push(
-                thread::Builder::new()
-                    .name(format!("viewplan-accept-{i}"))
-                    .spawn(move || accept_loop(&listener, &shared))?,
-            );
-        }
-        let mut workers = Vec::new();
+        // The acceptor comes first: `join_all` joins in this order.
+        let accept_shared = shared.clone();
+        let mut threads = vec![thread::Builder::new()
+            .name("viewplan-accept".to_string())
+            .spawn(move || accept_loop(&listener, &accept_shared))?];
         for i in 0..config.workers.max(1) {
             let shared = shared.clone();
-            workers.push(
+            threads.push(
                 thread::Builder::new()
                     .name(format!("viewplan-worker-{i}"))
                     .spawn(move || worker_loop(&shared))?,
@@ -238,8 +263,7 @@ impl NetServer {
         }
         Ok(NetServer {
             shared,
-            acceptors,
-            workers,
+            threads,
             addr,
         })
     }
@@ -278,128 +302,114 @@ impl NetServer {
     /// Blocks until a `shutdown` frame (or [`NetServer::shutdown`] from
     /// another thread) stops the server, then joins every thread.
     pub fn wait(&mut self) {
-        while !self.shared.shutting_down() {
-            thread::sleep(Duration::from_millis(25));
-        }
         self.join_all();
     }
 
+    /// Joins the acceptor (which returns only after shutdown), then the
+    /// workers (which drain admitted work), then the handlers still
+    /// live — the sweep woke their reads.
     fn join_all(&mut self) {
-        for t in self.acceptors.drain(..) {
+        for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
-        // Handlers exit on their own once they see the shutdown flag
-        // (their reads poll it); collect them last.
-        let handlers: Vec<_> = self.shared.handlers.lock().drain(..).collect();
-        for t in handlers {
-            let _ = t.join();
+        let live: Vec<_> = self.shared.connections.lock().drain().collect();
+        for (_, conn) in live {
+            let _ = conn.handler.join();
         }
     }
 }
 
+// lock-order: the registry lock is never nested; the second site runs
+// on the handler's thread, and the acceptor never waits on a handler
+// while holding the lock.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.shutting_down() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // ordering: monotone tally; readers only want a recent
-                // count, not synchronization.
-                shared.accepted.fetch_add(1, Ordering::Relaxed);
-                obs::counter!("serve.net_accepted").incr();
-                if shared.catalog.faults().fires(FaultPoint::Accept) {
-                    // Injected accept fault: the connection dies before
-                    // its first frame — clients must see a clean EOF and
-                    // retry, never a hang.
-                    drop(stream);
-                    continue;
-                }
-                let shared2 = shared.clone();
-                let spawned = thread::Builder::new()
-                    .name("viewplan-conn".to_string())
-                    .spawn(move || handle_connection(stream, &shared2));
-                match spawned {
-                    Ok(handle) => shared.handlers.lock().push(handle),
-                    Err(_) => {
-                        // Thread exhaustion: shedding the connection is
-                        // the only honest option left.
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(25)),
-        }
-    }
-}
-
-/// Outcome of waiting for the next frame to start.
-enum Waited {
-    Data,
-    Eof,
-    Idle,
-    Shutdown,
-}
-
-/// Polls for the first byte of the next frame, enforcing the idle
-/// timeout in short slices so the shutdown flag is honored promptly.
-fn wait_for_frame(stream: &TcpStream, shared: &Shared) -> Waited {
-    let slice =
-        Duration::from_millis(50).min(shared.config.idle_timeout.max(Duration::from_millis(1)));
-    if stream.set_read_timeout(Some(slice)).is_err() {
-        return Waited::Eof;
-    }
-    let mut waited = Duration::ZERO;
-    let mut byte = [0u8; 1];
     loop {
+        // An accept error concerns one connection (reset while queued,
+        // descriptor exhaustion); the listener itself stays usable.
+        let Ok((stream, _peer)) = listener.accept() else {
+            continue;
+        };
         if shared.shutting_down() {
-            return Waited::Shutdown;
+            return;
         }
-        match stream.peek(&mut byte) {
-            Ok(0) => return Waited::Eof,
-            Ok(_) => return Waited::Data,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                waited += slice;
-                if waited >= shared.config.idle_timeout {
-                    return Waited::Idle;
-                }
-            }
-            Err(_) => return Waited::Eof,
+        // ordering: monotone tally, doubling as a unique connection id;
+        // no other state hangs off its value.
+        let id = shared.accepted.fetch_add(1, Ordering::Relaxed);
+        obs::counter!("serve.net_accepted").incr();
+        if shared.catalog.faults().fires(FaultPoint::Accept) {
+            // Injected accept fault: the connection dies before its
+            // first frame — clients must see a clean EOF and retry,
+            // never a hang.
+            continue;
+        }
+        // A connection the shutdown sweep could not reach is not served.
+        let Ok(wake) = stream.try_clone() else {
+            continue;
+        };
+        // Register under the lock the sweep holds, re-checking the flag,
+        // so the sweep cannot miss a connection accepted during shutdown.
+        let mut live = shared.connections.lock();
+        if shared.shutting_down() {
+            return;
+        }
+        let conn_shared = shared.clone();
+        let spawned = thread::Builder::new()
+            .name("viewplan-conn".to_string())
+            .spawn(move || {
+                handle_connection(&stream, &conn_shared);
+                conn_shared.connections.lock().remove(&id);
+            });
+        // Thread exhaustion sheds the connection: the only honest option.
+        if let Ok(handler) = spawned {
+            live.insert(
+                id,
+                Connection {
+                    handler,
+                    stream: wake,
+                },
+            );
         }
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    loop {
-        match wait_for_frame(&stream, shared) {
-            Waited::Data => {}
-            Waited::Idle => {
+fn handle_connection(stream: &TcpStream, shared: &Arc<Shared>) {
+    let config = &shared.config;
+    let (mut reader, mut writer) = (BufReader::new(stream), stream);
+    if stream
+        .set_write_timeout(Some(config.write_timeout))
+        .is_err()
+    {
+        return;
+    }
+    while !shared.shutting_down() {
+        // Wait for the next frame to start: zero bytes is the peer's EOF
+        // or the shutdown sweep's `shutdown(Read)`; a timeout means the
+        // connection sat idle.
+        match stream
+            .set_read_timeout(Some(config.idle_timeout))
+            .and_then(|()| reader.fill_buf())
+        {
+            Ok([]) => return,
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 // ordering: monotone tally; readers only want a recent
                 // count, not synchronization.
                 shared.reaped_idle.fetch_add(1, Ordering::Relaxed);
                 obs::counter!("serve.net_reaped_idle").incr();
                 return;
             }
-            Waited::Eof | Waited::Shutdown => return,
+            Err(_) => return,
         }
-        if stream
-            .set_read_timeout(Some(shared.config.read_timeout))
-            .is_err()
-        {
+        if stream.set_read_timeout(Some(config.read_timeout)).is_err() {
             return;
         }
-        let frame = match read_frame(&mut stream, shared.config.max_frame) {
+        let frame = match read_frame(&mut reader, config.max_frame) {
             Ok(Some(payload)) => payload,
             Ok(None) => return,
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
                 // A malformed header is answered before closing — the
                 // client learns why instead of seeing a bare hangup.
-                let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-                let _ = write_frame(&mut stream, &format!("error code=2 {e}"));
+                let _ = write_frame(&mut writer, &format!("error code=2 {e}"));
                 return;
             }
             Err(_) => return,
@@ -414,8 +424,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         let response = match dispatch(&frame, shared) {
             Dispatch::Reply(r) => r,
             Dispatch::Shutdown => {
-                let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-                let _ = write_frame(&mut stream, "bye");
+                let _ = write_frame(&mut writer, "bye");
                 shared.request_shutdown();
                 return;
             }
@@ -425,13 +434,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             // delivered.
             return;
         }
-        if stream
-            .set_write_timeout(Some(shared.config.write_timeout))
-            .is_err()
-        {
-            return;
-        }
-        if write_frame(&mut stream, &response).is_err() {
+        if write_frame(&mut writer, &response).is_err() {
             return;
         }
     }
@@ -456,32 +459,28 @@ fn dispatch(frame: &str, shared: &Arc<Shared>) -> Dispatch {
         }
         "query" => return Dispatch::Reply(handle_query(rest, shared)),
         "add-view" => match parse_query(rest) {
-            Ok(rule) => match shared.catalog.add_view(View { definition: rule }) {
-                Ok(outcome) => format!(
-                    "ok epoch={} views={} invalidated={} revalidated={}",
-                    outcome.epoch, outcome.views, outcome.invalidated, outcome.revalidated
-                ),
-                Err(msg) => structured_error(&msg),
-            },
+            Ok(rule) => ddl_reply(shared.catalog.add_view(View { definition: rule })),
             Err(e) => format!("error code=2 parse error: {e}"),
         },
-        "drop-view" => {
-            if rest.is_empty() || rest.contains(char::is_whitespace) {
-                "error code=2 usage: drop-view <name>".to_string()
-            } else {
-                match shared.catalog.drop_view(Symbol::new(rest)) {
-                    Ok(outcome) => format!(
-                        "ok epoch={} views={} invalidated={} revalidated={}",
-                        outcome.epoch, outcome.views, outcome.invalidated, outcome.revalidated
-                    ),
-                    Err(msg) => structured_error(&msg),
-                }
-            }
+        "drop-view" if rest.is_empty() || rest.contains(char::is_whitespace) => {
+            "error code=2 usage: drop-view <name>".to_string()
         }
+        "drop-view" => ddl_reply(shared.catalog.drop_view(Symbol::new(rest))),
         "shutdown" => return Dispatch::Shutdown,
         other => format!("error code=2 unknown command `{other}`"),
     };
     Dispatch::Reply(reply)
+}
+
+/// The acknowledgement of one DDL command, or its structured error.
+fn ddl_reply(outcome: Result<DdlOutcome, String>) -> String {
+    match outcome {
+        Ok(o) => format!(
+            "ok epoch={} views={} invalidated={} revalidated={}",
+            o.epoch, o.views, o.invalidated, o.revalidated
+        ),
+        Err(msg) => structured_error(&msg),
+    }
 }
 
 /// Parses and validates a `query` payload on the handler thread (cheap;
@@ -533,15 +532,8 @@ fn handle_query(rest: &str, shared: &Arc<Shared>) -> String {
 /// surfacing the `[VPnnn]` diagnostic id as a dedicated field when
 /// present.
 fn structured_error(msg: &str) -> String {
-    if let Some(tail) = msg.strip_prefix('[') {
-        if let Some((vp, rest)) = tail.split_once("] ") {
-            if vp.starts_with("VP") {
-                return format!("error code=2 vp={vp} {rest}");
-            }
-        }
-    }
-    // DDL errors carry the same nested shape from the validate gate.
-    if let Some((head, tail)) = msg.split_once("[") {
+    // The id leads a validation error; DDL errors nest it after a prefix.
+    if let Some((head, tail)) = msg.split_once('[') {
         if let Some((vp, rest)) = tail.split_once("] ") {
             if vp.starts_with("VP") {
                 return format!("error code=2 vp={vp} {head}{rest}");
@@ -587,6 +579,8 @@ fn worker_loop(shared: &Arc<Shared>) {
 mod tests {
     use super::*;
     use crate::batch::ServeConfig;
+    use crate::cache::CacheProbe;
+    use viewplan_containment::canonicalize;
     use viewplan_cq::parse_views;
 
     fn start_server(config: NetConfig) -> NetServer {
@@ -604,6 +598,15 @@ mod tests {
         read_frame(stream, 1 << 20)
             .unwrap()
             .expect("response frame")
+    }
+
+    /// Polls `done` until it holds; fails the test after 10 s.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
     }
 
     #[test]
@@ -628,6 +631,28 @@ mod tests {
             read_frame(&mut oversized, 64).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+    }
+
+    #[test]
+    fn buffered_reads_return_back_to_back_frames() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let mut both = Vec::new();
+        write_frame(&mut both, "first").unwrap();
+        write_frame(&mut both, "second frame").unwrap();
+        client.write_all(&both).unwrap();
+        drop(client);
+        let mut reader = BufReader::new(accepted);
+        assert_eq!(
+            read_frame(&mut reader, 64).unwrap().as_deref(),
+            Some("first")
+        );
+        assert_eq!(
+            read_frame(&mut reader, 64).unwrap().as_deref(),
+            Some("second frame")
+        );
+        assert_eq!(read_frame(&mut reader, 64).unwrap(), None, "clean eof");
     }
 
     #[test]
@@ -698,6 +723,80 @@ mod tests {
                     || read_frame(&mut c, 64).ok().flatten().is_none()
             }
         );
+    }
+
+    #[test]
+    fn shutdown_wakes_idle_connections_and_drains_in_flight() {
+        let mut server = start_server(NetConfig {
+            workers: 1,
+            idle_timeout: Duration::from_secs(30),
+            ..NetConfig::default()
+        });
+        let shared = server.shared.clone();
+        let addr = server.local_addr();
+        let mut idle = TcpStream::connect(addr).unwrap();
+        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+
+        // Hold the cache's single-flight lead for the query: the one
+        // worker takes a first job for it and blocks as a follower, so
+        // the client's query below stays admitted but unanswered.
+        let src = "q(X, Y) :- a(X, Z), a(Z, Z), b(Z, Y)";
+        let query = parse_query(src).unwrap();
+        let cache = shared.catalog.server().cache_handle().expect("cache on");
+        let key = canonicalize(&query).key;
+        let CacheProbe::Miss(flight) = cache.get_or_join(&key, 0) else {
+            panic!("a fresh cache cannot hit");
+        };
+        let (tx, first_reply) = mpsc::channel();
+        assert!(shared
+            .queue
+            .offer(QueryJob { query, reply: tx }, None)
+            .is_ok());
+        wait_until("the worker to take the first job", || {
+            shared.queue.is_empty()
+        });
+        let mut in_flight = TcpStream::connect(addr).unwrap();
+        in_flight
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        write_frame(&mut in_flight, &format!("query {src}")).unwrap();
+        wait_until("the client's query to be admitted", || {
+            shared.queue.len() == 1
+        });
+
+        let started = Instant::now();
+        let stopper = std::thread::spawn(move || {
+            server.shutdown();
+            started.elapsed()
+        });
+        wait_until("the shutdown flag", || shared.shutting_down());
+        // The idle connection is woken now, not at its 30 s timeout.
+        assert_eq!(read_frame(&mut idle, 64).unwrap(), None, "idle sees eof");
+        // Release the flight: the worker re-elects itself, answers the
+        // first job, then drains the admitted query.
+        drop(flight);
+        let reply = read_frame(&mut in_flight, 1 << 20)
+            .unwrap()
+            .expect("the in-flight query is answered");
+        assert!(reply.starts_with("ok epoch=0 "), "{reply}");
+        assert!(first_reply.recv().unwrap().starts_with("ok "));
+        assert_eq!(read_frame(&mut in_flight, 64).unwrap(), None, "then eof");
+        let took = stopper.join().unwrap();
+        assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+    }
+
+    #[test]
+    fn finished_connections_leave_the_registry() {
+        let mut server = start_server(NetConfig::default());
+        for _ in 0..200 {
+            let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+            assert_eq!(roundtrip(&mut conn, "ping"), "pong epoch=0");
+        }
+        wait_until("every handler to deregister", || {
+            server.shared.connections.lock().is_empty()
+        });
+        assert_eq!(server.accepted(), 200);
+        server.shutdown();
     }
 
     #[test]

@@ -11,19 +11,25 @@
 //!    reader never observes a cache hit whose answer belongs to a
 //!    different catalog version than its snapshot (no stale-epoch
 //!    answer).
+//! 3. **Network shutdown wake-up** — `NetServer`'s blocking acceptor
+//!    and handlers are woken by an explicit sweep instead of polling: a
+//!    connection registering concurrently with shutdown is either swept
+//!    or refused, the acceptor exits after the single wake-connect, and
+//!    an admitted request is still answered.
 //!
 //! These run in the standard suite at bounded budgets (small DFS
 //! preemption bounds), so `cargo test` exhaustively re-explores every
 //! schedule on each run; EXPERIMENTS.md records the measured
 //! interleaving counts.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use viewplan_containment::{canonicalize, CanonicalQuery};
 use viewplan_cq::{parse_query, ConjunctiveQuery};
 use viewplan_obs::Completeness;
-use viewplan_serve::{CacheProbe, CachedAnswer, RewritingCache};
+use viewplan_serve::{AdmissionQueue, CacheProbe, CachedAnswer, RewritingCache};
 use viewplan_sync::model;
-use viewplan_sync::{AtomicU64, AtomicUsize, Ordering, RwLock};
+use viewplan_sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering, RwLock};
 
 /// Model executions must be a pure function of the schedule, but global
 /// lazy state (the symbol interner, obs counter registration) is
@@ -250,4 +256,246 @@ fn three_way_contention_random_walk() {
     });
     eprintln!("model cache_3way: {}", report.summary());
     assert!(report.ok(), "{}", report.summary());
+}
+
+/// A stand-in for one accepted socket: the two halves the shutdown sweep
+/// could close. A read on a stand-in whose read half is shut returns
+/// EOF; a write on a shut write half fails.
+#[derive(Default)]
+struct StandIn {
+    read_shut: AtomicBool,
+    write_shut: AtomicBool,
+}
+
+/// `net.rs`'s shutdown protocol, reduced to its synchronization
+/// skeleton: the stop flag, the connection registry, the listener
+/// backlog a blocking `accept` waits on, and the admission queue.
+struct Front {
+    shutdown: AtomicBool,
+    registry: Mutex<Vec<Arc<StandIn>>>,
+    backlog: Mutex<VecDeque<Arc<StandIn>>>,
+    connected: Condvar,
+    wakes: AtomicUsize,
+    queue: AdmissionQueue<Arc<ReplySlot>>,
+}
+
+impl Front {
+    fn new() -> Front {
+        Front {
+            shutdown: AtomicBool::new(false),
+            registry: Mutex::new(Vec::new()),
+            backlog: Mutex::new(VecDeque::new()),
+            connected: Condvar::new(),
+            wakes: AtomicUsize::new(0),
+            queue: AdmissionQueue::new(4),
+        }
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// `Shared::request_shutdown`: flag, close, sweep, wake-connect.
+    fn request_shutdown(&self) {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.queue.close();
+        for conn in self.registry.lock().iter() {
+            conn.read_shut.store(true, Ordering::SeqCst);
+        }
+        self.wakes.fetch_add(1, Ordering::SeqCst);
+        self.connect(Arc::new(StandIn::default()));
+    }
+
+    /// A client connect: lands in the backlog, waking a blocked accept.
+    fn connect(&self, conn: Arc<StandIn>) {
+        self.backlog.lock().push_back(conn);
+        self.connected.notify_one();
+    }
+
+    /// A blocking `accept`.
+    fn accept(&self) -> Arc<StandIn> {
+        let mut backlog = self.backlog.lock();
+        loop {
+            if let Some(conn) = backlog.pop_front() {
+                return conn;
+            }
+            backlog = self.connected.wait(backlog);
+        }
+    }
+
+    /// `Shared::register`: the flag is checked under the registry lock.
+    fn register(&self, conn: Arc<StandIn>) -> bool {
+        let mut registry = self.registry.lock();
+        if self.shutting_down() {
+            return false;
+        }
+        registry.push(conn);
+        true
+    }
+
+    /// `accept_loop`: returns how many connections it registered.
+    fn accept_loop(&self) -> usize {
+        let mut registered = 0;
+        loop {
+            let conn = self.accept();
+            if self.shutting_down() || !self.register(conn) {
+                return registered;
+            }
+            registered += 1;
+        }
+    }
+}
+
+/// A handler's reply channel, on facade primitives so the model sees it.
+#[derive(Default)]
+struct ReplySlot {
+    reply: Mutex<Option<&'static str>>,
+    ready: Condvar,
+}
+
+/// Warms the admission queue's lazy metric registrations before any
+/// model runs (see [`fixture`]).
+fn warm_admission() {
+    let queue = AdmissionQueue::new(1);
+    assert!(queue.offer((), None).is_ok());
+    assert!(queue.take().is_some());
+    queue.close();
+    assert!(queue.take().is_none());
+}
+
+/// Property 1: a connection the acceptor registers while shutdown is
+/// under way is either swept (its blocked read would return EOF) or
+/// refused because the acceptor saw the flag — never registered with an
+/// open read half after the sweep.
+#[test]
+fn registration_racing_shutdown_is_swept_or_refused() {
+    warm_admission();
+    let report = model::check(&model::Config::dfs(2), || {
+        let front = Arc::new(Front::new());
+        let conn = Arc::new(StandIn::default());
+        let acceptor = {
+            let front = front.clone();
+            let conn = conn.clone();
+            model::spawn(move || front.register(conn))
+        };
+        let stopper = {
+            let front = front.clone();
+            model::spawn(move || front.request_shutdown())
+        };
+        let registered = acceptor.join().unwrap();
+        stopper.join();
+        if registered {
+            assert!(
+                conn.read_shut.load(Ordering::SeqCst),
+                "a connection registered before the sweep must be swept"
+            );
+        }
+        assert!(front.registry.lock().len() == usize::from(registered));
+    });
+    eprintln!("model net_register: {}", report.summary());
+    assert!(report.ok(), "{}", report.summary());
+    assert!(report.exhaustive, "DFS must exhaust the bounded schedules");
+}
+
+/// Property 2: the acceptor, blocked in `accept`, exits after the one
+/// wake-connect whatever the interleaving, with a client connecting
+/// concurrently. The stopper requests shutdown twice (a `shutdown` frame
+/// then `NetServer::shutdown`); the second request must not connect
+/// again. A missed wake shows as a deadlock.
+#[test]
+fn acceptor_exits_after_the_single_wake_connect() {
+    warm_admission();
+    let report = model::check(&model::Config::dfs(2), || {
+        let front = Arc::new(Front::new());
+        let client_conn = Arc::new(StandIn::default());
+        let acceptor = {
+            let front = front.clone();
+            model::spawn(move || front.accept_loop())
+        };
+        let client = {
+            let front = front.clone();
+            let conn = client_conn.clone();
+            model::spawn(move || front.connect(conn))
+        };
+        let stopper = {
+            let front = front.clone();
+            model::spawn(move || {
+                front.request_shutdown();
+                front.request_shutdown();
+            })
+        };
+        let registered = acceptor.join().expect("the acceptor exits");
+        client.join();
+        stopper.join();
+        assert_eq!(front.wakes.load(Ordering::SeqCst), 1, "one wake-connect");
+        assert!(registered <= 1);
+        if registered == 1 {
+            assert!(client_conn.read_shut.load(Ordering::SeqCst));
+        }
+    });
+    eprintln!("model net_accept_wake: {}", report.summary());
+    assert!(report.ok(), "{}", report.summary());
+    assert!(report.exhaustive, "DFS must exhaust the bounded schedules");
+}
+
+/// Property 3: a handler whose request was admitted before shutdown
+/// still gets its reply and can write it — the sweep shuts only the
+/// read half, and the closed queue still drains to the worker. A
+/// request offered after the close gets an honest shed instead.
+#[test]
+fn in_flight_replies_survive_shutdown() {
+    warm_admission();
+    let report = model::check(&model::Config::dfs(2), || {
+        let front = Arc::new(Front::new());
+        let conn = Arc::new(StandIn::default());
+        assert!(front.register(conn.clone()));
+        let handler = {
+            let front = front.clone();
+            let conn = conn.clone();
+            model::spawn(move || {
+                let slot = Arc::new(ReplySlot::default());
+                let reply = match front.queue.offer(slot.clone(), None) {
+                    Err(_) => "shed",
+                    Ok(()) => {
+                        let mut reply = slot.reply.lock();
+                        loop {
+                            if let Some(r) = *reply {
+                                break r;
+                            }
+                            reply = slot.ready.wait(reply);
+                        }
+                    }
+                };
+                // The write: a shut write half would lose the reply.
+                assert!(
+                    !conn.write_shut.load(Ordering::SeqCst),
+                    "the sweep must leave the write half open"
+                );
+                reply
+            })
+        };
+        let worker = {
+            let front = front.clone();
+            model::spawn(move || {
+                while let Some(job) = front.queue.take() {
+                    *job.item.reply.lock() = Some("ok");
+                    job.item.ready.notify_all();
+                }
+            })
+        };
+        let stopper = {
+            let front = front.clone();
+            model::spawn(move || front.request_shutdown())
+        };
+        let reply = handler.join().expect("the handler gets a reply");
+        worker.join();
+        stopper.join();
+        assert!(reply == "ok" || reply == "shed", "{reply}");
+        assert!(conn.read_shut.load(Ordering::SeqCst), "swept");
+    });
+    eprintln!("model net_drain: {}", report.summary());
+    assert!(report.ok(), "{}", report.summary());
+    assert!(report.exhaustive, "DFS must exhaust the bounded schedules");
 }

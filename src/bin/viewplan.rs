@@ -428,7 +428,6 @@ const VALUE_OPTIONS: &[&str] = &[
     "--clients",
     "--requests",
     "--workers",
-    "--accept-threads",
     "--queue-capacity",
     "--deadline-ms",
     "--max-retries",
@@ -1184,7 +1183,6 @@ fn duration_arg(
 fn net_config(args: &[String]) -> Result<viewplan::serve::NetConfig, CliError> {
     let defaults = viewplan::serve::NetConfig::default();
     Ok(viewplan::serve::NetConfig {
-        accept_threads: u64_arg(args, "--accept-threads", defaults.accept_threads as u64)? as usize,
         workers: u64_arg(args, "--workers", defaults.workers as u64)? as usize,
         queue_capacity: u64_arg(args, "--queue-capacity", defaults.queue_capacity as u64)? as usize,
         read_timeout: duration_arg(args, "--read-timeout-ms", defaults.read_timeout)?,

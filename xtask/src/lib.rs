@@ -1,7 +1,7 @@
 //! Repo-level lints for the `viewplan` workspace, run as
 //! `cargo run -p xtask -- lint` (and in CI).
 //!
-//! Nine checks, all offline and purely textual:
+//! Ten checks, all offline and purely textual:
 //!
 //! 1. **Panic ban** — no `.unwrap()` / `.expect(` / `panic!(` in library
 //!    crates (`crates/*/src`) outside `#[cfg(test)]` code. Audited
@@ -42,6 +42,12 @@
 //!    locks (`.lock()` / `.read()` / `.write()`) must carry a
 //!    `// lock-order:` comment documenting the acquisition order, so
 //!    every potential nesting has a written deadlock argument.
+//! 10. **No sleep-polling in the serving crate** — a `sleep(` call in
+//!     `crates/serve/src` outside `#[cfg(test)]` code is a violation. The
+//!     network front-end blocks in `accept` and `read` and is woken
+//!     explicitly on shutdown; a fixed-interval sleep there is a latency
+//!     floor. Nothing is allowlisted. Client-side backoff and pacing in
+//!     `crates/bench` are out of scope.
 //!
 //! The scans work on a *stripped* view of each file: comment and string
 //! contents are blanked (structure and braces preserved), so `"panic!"`
@@ -865,6 +871,40 @@ fn check_lock_order(root: &Path, report: &mut LintReport) {
     }
 }
 
+/// Counts `sleep(` calls in a stripped line: the `sleep` must start an
+/// identifier (`thread::sleep(` counts, `oversleep(` does not).
+fn sleep_calls(line: &str) -> usize {
+    line.match_indices("sleep(")
+        .filter(|&(at, _)| {
+            !line[..at]
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_')
+        })
+        .count()
+}
+
+/// Check 10: no `sleep(` in the serving crate's non-test code.
+fn check_no_sleep_polling(root: &Path, report: &mut LintReport) {
+    for file in rust_files(&root.join("crates/serve/src")) {
+        let Ok(text) = std::fs::read_to_string(&file) else {
+            continue;
+        };
+        let stripped = strip_code(&text);
+        let mask = test_region_mask(&stripped);
+        for (line_no, (line, &in_test)) in stripped.lines().zip(&mask).enumerate() {
+            if !in_test && sleep_calls(line) > 0 {
+                report.violations.push(format!(
+                    "{}:{}: `sleep(` in the serving crate — block on the event and wake it \
+                     explicitly instead of sleep-polling",
+                    rel(root, &file),
+                    line_no + 1
+                ));
+            }
+        }
+    }
+}
+
 /// Runs every lint over the workspace at `root`.
 pub fn run_lint(root: &Path) -> LintReport {
     let mut report = LintReport::default();
@@ -877,6 +917,7 @@ pub fn run_lint(root: &Path) -> LintReport {
     check_ordering_justifications(root, &mut report);
     check_raw_sync_ban(root, &mut report);
     check_lock_order(root, &mut report);
+    check_no_sleep_polling(root, &mut report);
     report
 }
 
@@ -1182,6 +1223,30 @@ real.unwrap();"##;
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert!(report.violations[0].contains("lib.rs:7"));
         assert!(report.violations[0].contains("lock-order"));
+    }
+
+    #[test]
+    fn lint_bans_sleep_polling_in_the_serving_crate() {
+        let repo = TempRepo::new("sleep-poll");
+        // A sleep in serving code: banned. The same call in test code, a
+        // doc comment, an identifier merely ending in `sleep`, or a
+        // crate outside the serving crate: allowed.
+        repo.write(
+            "crates/serve/src/net.rs",
+            "/// Never `thread::sleep(d)` here (doc comment: not a site).\n\
+             fn poll() { thread::sleep(Duration::from_millis(25)); }\n\
+             fn oversleep() {}\n\
+             #[cfg(test)]\n\
+             mod tests { fn t() { thread::sleep(d); } }\n",
+        );
+        repo.write(
+            "crates/bench/src/loadgen.rs",
+            "fn backoff() { thread::sleep(d); }\n",
+        );
+        let report = run_lint(&repo.root);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(report.violations[0].contains("crates/serve/src/net.rs:2"));
+        assert!(report.violations[0].contains("sleep-polling"));
     }
 
     #[test]
